@@ -481,6 +481,17 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1, else exit 2 with usage."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below, with the same message as a non-positive count
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hiremlp",
@@ -501,20 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="raw tensor file (single unnamed tensor)")
     p.add_argument("--random", default=None, metavar="HxWxC")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("invariants", help="run registered property suites")
     p.add_argument("--scope", default="all", choices=["all", "tensor", "rearrange", "hire", "network", "accounting"])
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("gradcheck", help="reverse-mode vs finite differences (64-bit)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=int, default=100)
+    p.add_argument("--coords", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gradcheck)
 
@@ -527,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="throughput benchmark (hardware-dependent, no target)")
     p.add_argument("--config", required=True)
     p.add_argument("--hw", default="224x224")
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

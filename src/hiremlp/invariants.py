@@ -206,6 +206,20 @@ def check_batch_norm_statistics(seeds: int, rng) -> tuple[bool, str]:
     return True, f"{seeds} draws"
 
 
+def check_gelu_float32(seeds: int, rng) -> tuple[bool, str]:
+    """The float32 rational-erf GELU stays within 2e-6 of the float64 libm-erf GELU."""
+    worst = 0.0
+    for _ in range(seeds):
+        x = _rand_map(rng) * 4  # tails past the rational erf's clamp at |x| = 4 sqrt 2
+        fast = T.gelu(x)
+        if fast.dtype != np.float32:
+            return False, f"float32 input gave {fast.dtype}"
+        worst = max(worst, float(np.abs(fast - T.gelu(x.astype(np.float64))).max()))
+        if worst > 2e-6:
+            return False, f"max abs err {worst:.2e}"
+    return True, f"max abs err {worst:.2e}"
+
+
 def op_grad_cases(rng) -> list[tuple[str, np.ndarray, Callable]]:
     """(name, leaf array, forward fn) per primitive op; non-leaf operands are
     captured as constants so each case differentiates one input at a time."""
@@ -514,6 +528,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
     "tensor": [
         ("linear is additive and homogeneous", check_linear_linearity),
         ("batch-norm batch statistics", check_batch_norm_statistics),
+        ("float32 GELU within 2e-6 of the float64 GELU", check_gelu_float32),
         ("backward matches finite differences per op", check_backward_vs_fd),
         ("ops never mutate inputs", check_no_mutation),
         ("finite in, finite out", check_finiteness),

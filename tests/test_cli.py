@@ -1,6 +1,9 @@
 """cli: exit codes, determinism, JSON output, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from hiremlp.network import save_config
 from hiremlp.variants import micro_config
 from hiremlp.weights import save_tensors
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture
@@ -213,3 +217,39 @@ def test_bench_thread_checksum_equality(capsys, micro_cfg_path):
         return json.loads(out)["checksum"]
 
     assert checksum(1) == checksum(4)
+
+
+# ---------------------------------------------------------------------------
+# argument validation and dependencies
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--config", str(CONFIGS / "tiny.json"), "--batch", "0"),
+        ("bench", "--config", str(CONFIGS / "tiny.json"), "--threads", "0"),
+        ("gradcheck", "--coords", "0"),
+        ("gradcheck", "--coords", "-3"),
+        ("forward", "--config", str(CONFIGS / "tiny.json"), "--random", "64x64x3", "--topk", "-1"),
+        ("invariants", "--seeds", "0"),
+    ],
+    ids=["bench-batch", "bench-threads", "gradcheck-coords-0", "gradcheck-coords-neg", "forward-topk", "invariants-seeds"],
+)
+def test_nonpositive_count_exits_2(capsys, argv):
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+    assert "Traceback" not in err
+
+
+def test_import_does_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hiremlp.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

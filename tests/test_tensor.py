@@ -1,5 +1,7 @@
 """tensor core: primitive ops, tape backward, finite differences, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,32 @@ def test_gelu_matches_erf_oracle(x, expected):
     got = float(T.gelu(np.array(x)))
     assert abs(got - expected) < 1e-6
     assert abs(got - erf_gelu(x)) < 1e-6  # oracle stays live
+
+
+def _libm_gelu(x: np.ndarray) -> np.ndarray:
+    return np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.astype(np.float64).tolist()])
+
+
+def _gelu_grid() -> np.ndarray:
+    """10^6 + 1 float32 points on [-15, 15], plus +-0 and the clamp edges |x| = 4 sqrt 2."""
+    edges = [0.0, -0.0, 4 * math.sqrt(2.0), -4 * math.sqrt(2.0)]
+    return np.concatenate([np.linspace(-15.0, 15.0, 10**6 + 1), edges]).astype(np.float32)
+
+
+def test_gelu_float32_within_2e6_of_float64_erf():
+    x = _gelu_grid()
+    before = x.tobytes()
+    got = T.gelu(x)
+    assert x.tobytes() == before  # the in-place passes write only scratch and output
+    assert got.dtype == np.float32
+    assert np.abs(got.astype(np.float64) - _libm_gelu(x)).max() <= 2e-6
+
+
+def test_gelu_float64_matches_libm_erf():
+    x = _gelu_grid().astype(np.float64)
+    got = T.gelu(x)
+    assert got.dtype == np.float64
+    assert np.abs(got - _libm_gelu(x)).max() <= 1e-15
 
 
 def test_activation_dispatch():
