@@ -3,8 +3,8 @@
 Route 1: closed-form hire-module counts ((h+w)C^2 + C^2 params, 3HWC^2
 FLOPs for the two-FC C/2 bottleneck, specializing to 2hC^2+C^2 when
 h == w). Route 2: a traversal of the instantiated model in execution
-order at a given resolution. The two must agree exactly on hire modules
-at divisible extents.
+order at a given resolution, reading array shapes only. The two must
+agree exactly on hire modules at divisible extents.
 
 Conventions: one multiply-accumulate = 1 FLOP; biases and norm affines
 count as parameters but contribute no FLOPs; padding-induced extra
@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as T
 from .errors import ConfigError
 from .hire import BottleneckMlpParams, HireModuleParams
-from .network import Model, ModelConfig, build_model, config_from_dict, config_to_dict
+from .network import Model, ModelConfig, assemble_model, config_from_dict, config_to_dict
 from .rearrange import padded_extent
 
 
@@ -74,15 +76,6 @@ def hire_module_closed_form(h: int, w: int, c: int, height: int, width: int) -> 
     params = (h + w) * c * c + c * c
     flops = 3 * height * width * c * c
     return params, flops
-
-
-def _param_count(obj, weights_only: bool) -> int:
-    total = 0
-    for _, arr in T.iter_arrays(obj):
-        if weights_only and arr.ndim != 2:
-            continue
-        total += arr.size
-    return total
 
 
 def _norm_params(norm: T.NormParams, weights_only: bool) -> int:
@@ -170,8 +163,13 @@ def count_model(model: Model, height: int, width: int, weights_only: bool = Fals
     )
 
 
-def count_config(config: ModelConfig, height: int, width: int, seed: int = 0, **kw) -> CostReport:
-    return count_model(build_model(config, seed=seed), height, width, **kw)
+def count_config(
+    config: ModelConfig, height: int, width: int, weights_only: bool = False
+) -> CostReport:
+    """count_model of config's model, assembled with zero weights: the
+    traversal reads shapes only, so no random weights are drawn."""
+    model = assemble_model(config, lambda shape: np.zeros(shape, dtype=np.float32))
+    return count_model(model, height, width, weights_only)
 
 
 def ablation_cost_sweep(

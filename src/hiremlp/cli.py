@@ -11,26 +11,22 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .accounting import ablation_cost_sweep, count_model
+from .accounting import ablation_cost_sweep, count_config
 from .errors import HireMlpError
-from .invariants import preserves_cyclic_order, run_invariants, token_permutation
-from .network import (
-    Model,
-    build_model,
-    cast_model,
-    forward,
-    load_config,
-    load_model_weights,
-    set_norm_mode,
+from .invariants import (
+    GRAD_TOLERANCE,
+    model_gradcheck,
+    preserves_cyclic_order,
+    run_invariants,
+    token_permutation,
 )
+from .network import build_model, forward, load_config, load_model_weights
 from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, cross_rearrange, crop_pad, partition_pad
-from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, micro_config, small_config
+from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, small_config
 from .weights import load_tensors
 
 BENCH_WARMUP = 5
@@ -75,8 +71,7 @@ def _load_config_arg(path: str):
 def cmd_summary(args) -> int:
     cfg = _load_config_arg(args.config)
     h, w = _parse_hwc(args.hw, 2)
-    model = build_model(cfg, seed=args.seed)
-    report = count_model(model, h, w)
+    report = count_config(cfg, h, w)
     payload = {
         "name": cfg.meta.get("name", "?"),
         "resolution": [h, w],
@@ -204,78 +199,14 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _taped_model(model: Model, tape: T.Tape) -> Model:
-    return Model(
-        config=model.config,
-        stages=T.bind_tree(model.stages, tape),
-        head=T.bind_tree(model.head, tape),
-    )
-
-
-def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = 1e-5) -> dict:
-    """Full micro-model reverse-mode vs central differences at 64-bit.
-
-    Samples `coords` coordinates uniformly across the input and every
-    parameter leaf; returns max relative errors per group.
-    """
-    rng = np.random.default_rng(seed)
-    model = set_norm_mode(cast_model(build_model(micro_config(), seed=seed), np.float64), "batch")
-    x0 = rng.standard_normal((1, 32, 32, 3))
-
-    tape = T.Tape()
-    xv = tape.leaf(x0)
-    taped = _taped_model(model, tape)
-    grads = T.backward(tape, T.sum_all(forward(taped, xv)))
-
-    # taped Vars alias the eager model's arrays, so FD can perturb in place
-    flat_vars: list[tuple[str, T.Var, np.ndarray]] = [("input", xv, x0)]
-    for name, var in _iter_vars(taped):
-        flat_vars.append((name, var, var.value))
-
-    sizes = np.array([arr.size for _, _, arr in flat_vars])
-    total = int(sizes.sum())
-    picks = rng.choice(total, size=min(coords, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    worst = {}
-    for pick in picks:
-        slot = int(np.searchsorted(offsets, pick, side="right") - 1)
-        name, var, arr = flat_vars[slot]
-        local = int(pick - offsets[slot])
-        ad = float(grads.wrt(var).reshape(-1)[local])
-        fd = T.finite_difference_grad_sample(
-            lambda a: float(np.asarray(T.sum_all(forward(model, x0)))), arr, eps, [local]
-        )[0]
-        err = abs(ad - fd) / max(abs(ad), abs(fd), 1.0)
-        group = "input" if name == "input" else "params"
-        worst[group] = max(worst.get(group, 0.0), err)
-    return worst
-
-
-def _iter_vars(obj, prefix: str = ""):
-    import dataclasses as dc
-
-    if isinstance(obj, T.Var):
-        yield prefix, obj
-        return
-    if dc.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dc.fields(obj):
-            sub = f"{prefix}.{f.name}" if prefix else f.name
-            yield from _iter_vars(getattr(obj, f.name), sub)
-        return
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _iter_vars(v, f"{prefix}.{i}" if prefix else str(i))
-
-
 def cmd_gradcheck(args) -> int:
     worst = model_gradcheck(seed=args.seed, coords=args.coords)
-    ok = all(v < 1e-4 for v in worst.values())
+    ok = all(v < GRAD_TOLERANCE for v in worst.values())
     if args.json:
-        print(json.dumps({"max_rel_error": worst, "tolerance": 1e-4, "passed": ok}, indent=2))
+        print(json.dumps({"max_rel_error": worst, "tolerance": GRAD_TOLERANCE, "passed": ok}, indent=2))
     else:
         for group, err in sorted(worst.items()):
-            print(f"{group:>6}: max rel error {err:.3e}  ({'OK' if err < 1e-4 else 'FAIL'})")
+            print(f"{group:>6}: max rel error {err:.3e}  ({'OK' if err < GRAD_TOLERANCE else 'FAIL'})")
     return 0 if ok else 1
 
 
@@ -345,8 +276,7 @@ def _ablate_shift(args, out: dict) -> bool:
     for steps in sweeps:
         stages = tuple(dataclasses.replace(s, s=v) for s, v in zip(base.stages, steps))
         cfg = dataclasses.replace(base, stages=stages, meta={})
-        model = build_model(cfg, seed=0)
-        rep = count_model(model, 224, 224)
+        rep = count_config(cfg, 224, 224)
         comm = "none (no cross-region communication)" if all(v == 0 for v in steps) else "cross-region"
         rows.append({"steps": list(steps), "params": rep.params, "flops": rep.flops, "communication": comm})
     costs = {(r["params"], r["flops"]) for r in rows}
@@ -431,32 +361,19 @@ def cmd_bench(args) -> int:
     model = build_model(cfg, seed=args.seed)
     h, w = _parse_hwc(args.hw, 2)
     rng = np.random.default_rng(args.seed)
-    batch = [rng.standard_normal((1, h, w, 3)).astype(np.float32) for _ in range(args.batch)]
+    x = rng.standard_normal((args.batch, h, w, 3)).astype(np.float32)
 
-    def run_batch() -> float:
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                outs = list(pool.map(lambda xb: np.asarray(forward(model, xb)), batch))
-        else:
-            outs = [np.asarray(forward(model, xb)) for xb in batch]
-        return float(sum(o.sum() for o in outs))
-
-    checksum = None
     times = []
-    for i in range(BENCH_WARMUP + args.iters):
+    for _ in range(BENCH_WARMUP + args.iters):
         t0 = time.perf_counter()
-        cs = run_batch()
-        dt = time.perf_counter() - t0
-        if checksum is None:
-            checksum = cs
-        if i >= BENCH_WARMUP:
-            times.append(dt)
-    med = statistics.median(times)
+        logits = np.asarray(forward(model, x))
+        times.append(time.perf_counter() - t0)
+    med = statistics.median(times[BENCH_WARMUP:])
+    checksum = float(logits.sum())
     payload = {
         "config": cfg.meta.get("name", "?"),
         "resolution": [h, w],
         "batch": args.batch,
-        "threads": args.threads,
         "iters": args.iters,
         "warmup": BENCH_WARMUP,
         "median_s_per_batch": med,
@@ -468,7 +385,7 @@ def cmd_bench(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(
-            f"{payload['config']} @ {h}x{w}, batch {args.batch}, threads {args.threads}: "
+            f"{payload['config']} @ {h}x{w}, batch {args.batch}: "
             f"{payload['images_per_s']:.2f} images/s "
             f"({payload['ms_per_image']:.1f} ms/image, median of {args.iters})  "
             f"checksum {checksum:+.5f}"
@@ -502,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summary", help="per-stage table, totals, budget checks")
     p.add_argument("--config", required=True)
     p.add_argument("--hw", default="224x224", help="input resolution HxW")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_summary)
 
@@ -540,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", default="224x224")
     p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .accounting import count_config, count_model, hire_module_closed_form
+from .accounting import count_config, hire_module_closed_form
 from .hire import (
     BottleneckMlpParams,
     HireBranchConfig,
@@ -22,7 +22,7 @@ from .hire import (
     hire_branch,
     hire_module,
 )
-from .network import build_model, forward, forward_features
+from .network import build_model, cast_model, forward, forward_features, set_norm_mode
 from .rearrange import (
     PADDING_MODES,
     RegionSpec,
@@ -252,6 +252,10 @@ def op_grad_cases(rng) -> list[tuple[str, np.ndarray, Callable]]:
     ]
 
 
+# max relative error (see rel_error) every gradient check must stay below
+GRAD_TOLERANCE = 1e-4
+
+
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     """Max relative error with a unit floor (gradients here are O(1))."""
     denom = np.maximum.reduce([np.abs(a), np.abs(b), np.ones_like(b, dtype=np.float64)])
@@ -273,9 +277,50 @@ def check_backward_vs_fd(seeds: int, rng) -> tuple[bool, str]:
             )
             err = rel_error(ad, fd)
             worst = max(worst, err)
-            if err >= 1e-4:
+            if err >= GRAD_TOLERANCE:
                 return False, f"op {name}: max rel err {err:.2e}"
     return True, f"max rel err {worst:.2e}"
+
+
+def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = 1e-5) -> dict[str, float]:
+    """Full micro-model reverse mode vs central differences at 64-bit.
+
+    Samples `coords` coordinates uniformly across the input and every
+    parameter leaf; returns the max relative error per group ("input",
+    "params") that a sample landed in. Passing means every value is below
+    GRAD_TOLERANCE.
+    """
+    rng = np.random.default_rng(seed)
+    model = set_norm_mode(cast_model(build_model(micro_config(), seed=seed), np.float64), "batch")
+    x0 = rng.standard_normal((1, 32, 32, 3))
+
+    tape = T.Tape()
+    xv = tape.leaf(x0)
+    taped = T.bind_tree(model, tape)
+    # the input, then one leaf per parameter array; each aliases the eager
+    # array, so finite differences can perturb it in place
+    leaves = [T.Var(tape, i) for i in range(len(tape.nodes))]
+    grads = T.backward(tape, T.sum_all(forward(taped, xv)))
+
+    sizes = np.array([v.value.size for v in leaves])
+    total = int(sizes.sum())
+    picks = rng.choice(total, size=min(coords, total), replace=False)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+
+    def loss(_):
+        return float(np.asarray(T.sum_all(forward(model, x0))))
+
+    ad: dict[str, list[float]] = {}
+    fd: dict[str, list[float]] = {}
+    for pick in picks:
+        slot = int(np.searchsorted(offsets, pick, side="right") - 1)
+        local = int(pick - offsets[slot])
+        group = "input" if slot == 0 else "params"
+        ad.setdefault(group, []).append(float(grads.wrt(leaves[slot]).reshape(-1)[local]))
+        fd.setdefault(group, []).append(
+            T.finite_difference_grad(loss, leaves[slot].value, eps, [local])[0]
+        )
+    return {g: rel_error(np.array(ad[g]), np.array(fd[g])) for g in ad}
 
 
 def check_no_mutation(seeds: int, rng) -> tuple[bool, str]:
@@ -487,8 +532,7 @@ def check_closed_form_reconciliation(seeds: int, rng) -> tuple[bool, str]:
             expansion_ratio=(1, 1, 1, 1),
             num_classes=2,
         )
-        model = build_model(cfg, seed=0)
-        rep = count_model(model, hh, ww, weights_only=True)
+        rep = count_config(cfg, hh, ww, weights_only=True)
         got_p, got_f = rep.subtotal("stage1.block0.hire")
         want_p, want_f = hire_module_closed_form(mh, mw, c, hh, ww)
         if (got_p, got_f) != (want_p, want_f):

@@ -13,6 +13,7 @@ linear layer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .hire import (
     bottleneck_widths,
     hire_module,
 )
-from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec
+from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, pad_axis
 
 MIN_INPUT = 32
 
@@ -263,23 +264,6 @@ def _window_index(extent: int, out: int, kernel: int, stride: int) -> np.ndarray
     return (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
 
 
-def _pad_for_windows(x: T.ArrayLike, axis: int, need: int, mode: str) -> T.ArrayLike:
-    xv = T._value(x)
-    extent = xv.shape[axis]
-    pad = need - extent
-    if pad <= 0:
-        return x
-    before = pad // 2
-    after = pad - before
-    if mode == "zero":
-        return T.pad_zero(x, axis, before, after)
-    if mode == "reflect" and extent == 1:
-        raise InvalidInputError("patch_embed: reflect padding undefined for extent 1")
-    np_mode = {"circular": "wrap", "reflect": "reflect", "replicate": "edge"}[mode]
-    idx = np.pad(np.arange(extent), (before, after), mode=np_mode)
-    return T.take(x, idx, axis)
-
-
 def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     """Overlapping-window unfold + linear projection.
 
@@ -295,8 +279,9 @@ def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     k, st = p.spec.kernel, p.spec.stride
     oh = -(-h // st)
     ow = -(-w // st)
-    x = _pad_for_windows(x, 1, (oh - 1) * st + k, p.padding)
-    x = _pad_for_windows(x, 2, (ow - 1) * st + k, p.padding)
+    for axis, out in ((1, oh), (2, ow)):
+        pad = max(0, (out - 1) * st + k - T._value(x).shape[axis])
+        x = pad_axis(x, axis, pad // 2, pad - pad // 2, p.padding)
     x = T.take(x, _window_index(T._value(x).shape[1], oh, k, st), 1)
     x = T.reshape(x, (n, oh, k, T._value(x).shape[2], c))
     x = T.take(x, _window_index(T._value(x).shape[3], ow, k, st), 3)
@@ -349,67 +334,68 @@ def forward(model: Model, image: T.ArrayLike) -> T.ArrayLike:
 # ---------------------------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32):
-    """Normal(0, std) resampled to +/- 2 std."""
+def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """float32 Normal(0, std) resampled to +/- 2 std."""
     out = rng.standard_normal(shape) * std
     bound = 2.0 * std
     mask = np.abs(out) > bound
     while mask.any():
         out[mask] = rng.standard_normal(int(mask.sum())) * std
         mask = np.abs(out) > bound
-    return out.astype(dtype)
+    return out.astype(np.float32)
 
 
-def _init_linear(rng, in_dim: int, out_dim: int, dtype=np.float32) -> T.LinearParams:
+def _init_linear(weight, in_dim: int, out_dim: int) -> T.LinearParams:
     return T.LinearParams(
-        weight=trunc_normal(rng, (in_dim, out_dim), dtype=dtype),
-        bias=np.zeros(out_dim, dtype=dtype),
+        weight=weight((in_dim, out_dim)),
+        bias=np.zeros(out_dim, dtype=np.float32),
     )
 
 
-def _build_bottleneck(rng, region_size: int, channels: int, n_layers: int, dtype) -> BottleneckMlpParams:
+def _build_bottleneck(weight, region_size: int, channels: int, n_layers: int) -> BottleneckMlpParams:
     dims = [region_size * channels] + bottleneck_widths(region_size, channels, n_layers) + [
         region_size * channels
     ]
-    layers = [_init_linear(rng, a, b, dtype) for a, b in zip(dims, dims[1:])]
+    layers = [_init_linear(weight, a, b) for a, b in zip(dims, dims[1:])]
     norm = None
     if n_layers >= 2:
-        norm = T.identity_norm(dims[1], dtype=dtype)
+        norm = T.identity_norm(dims[1])
     return BottleneckMlpParams(layers=layers, norm=norm)
 
 
-def _build_block(rng, st: StageConfig, ratio: int, n_fcs: int, shifted: bool, dtype) -> BlockParams:
+def _build_block(weight, st: StageConfig, ratio: int, n_fcs: int, shifted: bool) -> BlockParams:
     c = st.channels
     shift_h = ShiftSpec(st.s, st.manner) if shifted else None
     shift_w = ShiftSpec(st.s, st.manner) if shifted else None
     hire = HireModuleParams(
         height=HireBranchConfig(
             region=RegionSpec("height", st.h, st.padding),
-            mlp=_build_bottleneck(rng, st.h, c, n_fcs, dtype),
+            mlp=_build_bottleneck(weight, st.h, c, n_fcs),
             shift=shift_h,
         ),
         width=HireBranchConfig(
             region=RegionSpec("width", st.w, st.padding),
-            mlp=_build_bottleneck(rng, st.w, c, n_fcs, dtype),
+            mlp=_build_bottleneck(weight, st.w, c, n_fcs),
             shift=shift_w,
         ),
-        channel=_init_linear(rng, c, c, dtype),
+        channel=_init_linear(weight, c, c),
     )
     return BlockParams(
-        norm1=T.identity_norm(c, dtype=dtype),
+        norm1=T.identity_norm(c),
         hire=hire,
-        norm2=T.identity_norm(c, dtype=dtype),
+        norm2=T.identity_norm(c),
         channel_mlp=ChannelMlpParams(
-            fc1=_init_linear(rng, c, ratio * c, dtype),
-            fc2=_init_linear(rng, ratio * c, c, dtype),
+            fc1=_init_linear(weight, c, ratio * c),
+            fc2=_init_linear(weight, ratio * c, c),
         ),
     )
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Instantiate a model with reproducible seeded initialization."""
+def assemble_model(config: ModelConfig, weight: Callable[[tuple[int, int]], np.ndarray]) -> Model:
+    """Model of `config` whose float32 FC weights come from weight(shape),
+    called once per FC in a fixed order; biases start at zero and norms at
+    the identity."""
     config.validate()
-    rng = np.random.default_rng(seed)
     stages = []
     in_c = 3
     for i, st in enumerate(config.stages):
@@ -417,7 +403,7 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         embed = PatchEmbedParams(
             spec=pe,
             padding=st.padding,
-            proj=_init_linear(rng, pe.kernel * pe.kernel * in_c, st.channels, dtype),
+            proj=_init_linear(weight, pe.kernel * pe.kernel * in_c, st.channels),
         )
         blocks = []
         for b in range(st.depth):
@@ -425,23 +411,23 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
             # s=0 and cross-disabled configurations stay structurally distinct
             shifted = b % 2 == config.shift_phase
             blocks.append(
-                _build_block(rng, st, config.expansion_ratio[i], config.bottleneck_fcs, shifted, dtype)
+                _build_block(weight, st, config.expansion_ratio[i], config.bottleneck_fcs, shifted)
             )
         stages.append(StageParams(embed=embed, blocks=blocks))
         in_c = st.channels
-    head = _init_linear(rng, in_c, config.num_classes, dtype)
+    head = _init_linear(weight, in_c, config.num_classes)
     return Model(config=config, stages=stages, head=head)
+
+
+def build_model(config: ModelConfig, seed: int = 0) -> Model:
+    """Instantiate a model with reproducible seeded initialization."""
+    rng = np.random.default_rng(seed)
+    return assemble_model(config, lambda shape: trunc_normal(rng, shape))
 
 
 def model_tensors(model: Model) -> dict[str, np.ndarray]:
     """Flat name -> array view of every parameter and buffer."""
-    out = {}
-    for i, stage in enumerate(model.stages):
-        for name, arr in T.iter_arrays(stage, prefix=f"stages.{i}"):
-            out[name] = arr
-    for name, arr in T.iter_arrays(model.head, prefix="head"):
-        out[name] = arr
-    return out
+    return dict(T.iter_arrays(model))
 
 
 def load_model_weights(model: Model, tensors: dict[str, np.ndarray]) -> None:
@@ -474,52 +460,26 @@ def model_checksum(model: Model) -> str:
 
 def cast_model(model: Model, dtype) -> Model:
     """Copy of the model with all arrays in the given dtype."""
-    return Model(
-        config=model.config,
-        stages=T.cast_tree(model.stages, dtype),
-        head=T.cast_tree(model.head, dtype),
-    )
-
-
-def _walk_replace(obj, match, fn):
-    import dataclasses as dc
-
-    if match(obj):
-        return fn(obj)
-    if dc.is_dataclass(obj) and not isinstance(obj, type):
-        return obj.__class__(**{f.name: _walk_replace(getattr(obj, f.name), match, fn) for f in dc.fields(obj)})
-    if isinstance(obj, list):
-        return [_walk_replace(v, match, fn) for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(_walk_replace(v, match, fn) for v in obj)
-    return obj
+    return T.cast_tree(model, dtype)
 
 
 def set_norm_mode(model: Model, mode: str) -> Model:
     """Copy of the model with every NormParams switched to `mode`."""
-    import dataclasses as dc
-
-    stages = _walk_replace(
-        model.stages, lambda o: isinstance(o, T.NormParams), lambda o: dc.replace(o, mode=mode)
+    return T.map_tree(
+        model, lambda _, o: dataclasses.replace(o, mode=mode) if isinstance(o, T.NormParams) else o
     )
-    return Model(config=model.config, stages=stages, head=model.head)
 
 
 def map_branches(model: Model, fn) -> Model:
     """Copy of the model with fn applied to every HireBranchConfig."""
-    stages = _walk_replace(model.stages, lambda o: isinstance(o, HireBranchConfig), fn)
-    return Model(config=model.config, stages=stages, head=model.head)
+    return T.map_tree(model, lambda _, o: fn(o) if isinstance(o, HireBranchConfig) else o)
 
 
 def disable_cross(model: Model) -> Model:
     """Structural ablation: drop cross-region rearrange and restore entirely."""
-    import dataclasses as dc
-
-    return map_branches(model, lambda b: dc.replace(b, shift=None))
+    return map_branches(model, lambda b: dataclasses.replace(b, shift=None))
 
 
 def disable_cross_restore(model: Model) -> Model:
     """Structural ablation: shift tokens but never restore their positions."""
-    import dataclasses as dc
-
-    return map_branches(model, lambda b: dc.replace(b, use_cross_restore=False))
+    return map_branches(model, lambda b: dataclasses.replace(b, use_cross_restore=False))

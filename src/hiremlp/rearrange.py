@@ -11,8 +11,10 @@ Two levels operate on NHWC feature maps along a chosen spatial axis:
 
 `partition_pad` extends the axis to the next multiple of the region size
 so inner-region rearrangement always sees a divisible extent; `crop_pad`
-undoes it. Everything is an explicit index-mapped copy, never a view,
-and records on a tape when handed Vars.
+undoes it. `pad_axis`, shared with the patch embeddings, is the one
+padding routine; padding by nothing returns its input, which is safe
+because no op mutates its inputs. Everything else is an explicit
+index-mapped copy, never a view, and records on a tape when handed Vars.
 """
 
 from __future__ import annotations
@@ -76,30 +78,35 @@ def padded_extent(extent: int, region_size: int) -> int:
     return -(-extent // region_size) * region_size
 
 
-def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRecord]:
-    """Pad x along spec.axis up to a multiple of the region size.
+def pad_axis(x: T.ArrayLike, axis: int, before: int, after: int, mode: str) -> T.ArrayLike:
+    """Pad x along axis with `before` and `after` new tokens in a padding mode.
 
-    New tokens are filled per padding_mode: circular wraps from the opposite
-    edge, reflect mirrors without repeating the edge, replicate repeats the
-    edge, zero fills zeros.
+    circular wraps from the opposite edge, reflect mirrors without repeating
+    the edge, replicate repeats the edge, zero fills zeros. Returns x itself
+    when nothing is added.
     """
+    if before == 0 and after == 0:
+        return x
+    if mode == "zero":
+        return T.pad_zero(x, axis, before, after)
+    extent = T._value(x).shape[axis]
+    if mode == "reflect" and extent == 1:
+        raise InvalidInputError(f"reflect padding undefined for extent 1 (axis {axis})")
+    idx = np.pad(np.arange(extent), (before, after), mode=_NP_PAD_MODE[mode])
+    return T.take(x, idx, axis)
+
+
+def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRecord]:
+    """Pad x at the end of spec.axis up to a multiple of the region size,
+    in spec.padding_mode (see pad_axis)."""
     xv = T._value(x)
     if xv.size == 0:
         raise InvalidInputError("partition_pad: empty input")
     axis = AXIS_INDEX[spec.axis]
     extent = xv.shape[axis]
     target = padded_extent(extent, spec.region_size)
-    pad = target - extent
-    rec = PadRecord(extent, target, spec.axis)
-    if pad == 0:
-        # copy keeps the no-mutation contract uniform across branches
-        return T.take(x, np.arange(extent), axis), rec
-    if spec.padding_mode == "zero":
-        return T.pad_zero(x, axis, 0, pad), rec
-    if spec.padding_mode == "reflect" and extent == 1:
-        raise InvalidInputError("partition_pad: reflect padding undefined for extent 1")
-    idx = np.pad(np.arange(extent), (0, pad), mode=_NP_PAD_MODE[spec.padding_mode])
-    return T.take(x, idx, axis), rec
+    xp = pad_axis(x, axis, 0, target - extent, spec.padding_mode)
+    return xp, PadRecord(extent, target, spec.axis)
 
 
 def crop_pad(x: T.ArrayLike, rec: PadRecord) -> T.ArrayLike:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -633,42 +633,63 @@ def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 
+def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
+    """Rebuild a nested dataclass/list/tuple/dict structure through fn.
+
+    fn(path, node) sees every node, outermost first, with its dotted path,
+    and returns the node's replacement; when it returns the node itself,
+    the walk descends into it. A container whose children all come back
+    unchanged is returned as is, so untouched arrays and subtrees are
+    shared with the input, never copied.
+    """
+    new = fn(path, obj)
+    if new is not obj:
+        return new
+    if isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif isinstance(obj, dict):
+        items = obj.items()
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    else:
+        return obj
+    prefix = f"{path}." if path else ""
+    out = {}
+    changed = False
+    for k, v in items:
+        out[k] = child = map_tree(v, fn, f"{prefix}{k}")
+        changed |= child is not v
+    if not changed:
+        return obj
+    if isinstance(obj, dict):
+        return out
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(out.values())
+    return obj.__class__(**out)
+
+
 def map_arrays(obj, fn: Callable[[Array], ArrayLike]):
-    """Rebuild a nested dataclass/list/tuple/dict structure, applying fn to arrays."""
-    if isinstance(obj, np.ndarray):
-        return fn(obj)
-    if isinstance(obj, Var):
-        return fn(obj.value)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kwargs = {f.name: map_arrays(getattr(obj, f.name), fn) for f in dataclasses.fields(obj)}
-        return obj.__class__(**kwargs)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(map_arrays(v, fn) for v in obj)
-    if isinstance(obj, dict):
-        return {k: map_arrays(v, fn) for k, v in obj.items()}
-    return obj
+    """Rebuild a parameter tree with fn applied to every array (a Var's value)."""
+
+    def visit(_path: str, node):
+        if isinstance(node, np.ndarray):
+            return fn(node)
+        return fn(node.value) if isinstance(node, Var) else node
+
+    return map_tree(obj, visit)
 
 
-def iter_arrays(obj, prefix: str = "") -> Iterator[tuple[str, Array]]:
-    """Yield (dotted_path, array) for every ndarray in a parameter tree."""
-    if isinstance(obj, np.ndarray):
-        yield prefix, obj
-        return
-    if isinstance(obj, Var):
-        yield prefix, obj.value
-        return
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            sub = f"{prefix}.{f.name}" if prefix else f.name
-            yield from iter_arrays(getattr(obj, f.name), sub)
-        return
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from iter_arrays(v, f"{prefix}.{i}" if prefix else str(i))
-        return
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from iter_arrays(v, f"{prefix}.{k}" if prefix else str(k))
+def iter_arrays(obj, prefix: str = "") -> list[tuple[str, Array]]:
+    """(dotted_path, array) for every array (a Var's value) in a parameter tree."""
+    found = []
+
+    def visit(path: str, node):
+        if isinstance(node, (np.ndarray, Var)):
+            found.append((path, _value(node)))
+        return node
+
+    map_tree(obj, visit, prefix)
+    return found
 
 
 def cast_tree(obj, dtype):
@@ -677,7 +698,7 @@ def cast_tree(obj, dtype):
 
 
 def bind_tree(obj, tape: Tape):
-    """Copy a parameter tree with every array replaced by a tape leaf."""
+    """Copy a parameter tree with every array replaced by a tape leaf that aliases it."""
     return map_arrays(obj, lambda a: tape.leaf(a))
 
 
@@ -686,33 +707,22 @@ def bind_tree(obj, tape: Tape):
 # ---------------------------------------------------------------------------
 
 
-def finite_difference_grad(f: Callable[[Array], float], x: Array, eps: float) -> Array:
-    """Central-difference gradient estimate of a scalar function of x."""
+def finite_difference_grad(
+    f: Callable[[Array], float], x: Array, eps: float, coords: Sequence[int] | None = None
+) -> Array:
+    """Central-difference gradient estimate of a scalar function of x.
+
+    x is perturbed in place and restored. With coords (flat indices), only
+    those entries are estimated, as a 1-D array in coords order; otherwise
+    the whole gradient, in the shape of x.
+    """
     if eps <= 0:
         raise InvalidInputError("finite_difference_grad: eps must be positive")
     x = np.asarray(x)
-    grad = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(f(x))
-        flat[i] = orig - eps
-        fm = float(f(x))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
-
-
-def finite_difference_grad_sample(
-    f: Callable[[Array], float], x: Array, eps: float, coords: Sequence[int]
-) -> np.ndarray:
-    """Central differences at selected flat coordinates only."""
-    x = np.asarray(x)
-    flat = x.reshape(-1)
-    out = np.zeros(len(coords), dtype=np.float64)
-    for k, i in enumerate(coords):
+    picks = range(flat.size) if coords is None else coords
+    out = np.zeros(len(picks), dtype=np.float64)
+    for k, i in enumerate(picks):
         orig = flat[i]
         flat[i] = orig + eps
         fp = float(f(x))
@@ -720,4 +730,4 @@ def finite_difference_grad_sample(
         fm = float(f(x))
         flat[i] = orig
         out[k] = (fp - fm) / (2.0 * eps)
-    return out
+    return out.reshape(x.shape) if coords is None else out

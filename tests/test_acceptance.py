@@ -11,8 +11,7 @@ import numpy as np
 
 from hiremlp import tensor as T
 from hiremlp.accounting import ablation_cost_sweep, count_config, count_model, hire_module_closed_form
-from hiremlp.cli import model_gradcheck
-from hiremlp.invariants import preserves_cyclic_order, rel_error, token_permutation
+from hiremlp.invariants import model_gradcheck, preserves_cyclic_order, rel_error, token_permutation
 from hiremlp.network import (
     ModelConfig,
     PatchEmbedSpec,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiremlp import tensor as T
+from hiremlp.accounting import count_config, count_model
 from hiremlp.errors import ConfigError, InvalidInputError
 from hiremlp.invariants import rel_error
 from hiremlp.network import (
@@ -32,7 +33,7 @@ from hiremlp.network import (
     save_config,
     set_norm_mode,
 )
-from hiremlp.variants import micro_config, small_config
+from hiremlp.variants import micro_config, small_config, tiny_config
 from hiremlp.weights import load_tensors, save_tensors
 
 from oracles import per_token_mlp
@@ -290,6 +291,37 @@ def test_shift_parity_default_odd_blocks():
     assert blocks[1].hire.height.shift is not None
     assert blocks[2].hire.height.shift is None
     assert blocks[1].hire.height.shift.step == 2
+
+
+@pytest.mark.parametrize("make_config", [micro_config, tiny_config], ids=["micro", "tiny"])
+def test_count_config_equals_count_of_seeded_model(make_config):
+    cfg = make_config()
+    model = build_model(cfg, seed=3)
+    for h, w in ((224, 224), (200, 300)):
+        want = count_model(model, h, w)
+        got = count_config(cfg, h, w)
+        assert got.breakdown == want.breakdown
+        assert (got.params, got.flops) == (want.params, want.flops)
+
+
+def test_bind_tree_one_aliasing_leaf_per_model_tensor():
+    model = micro_model()
+    tape = T.Tape()
+    T.bind_tree(model, tape)
+    arrays = list(model_tensors(model).values())
+    assert len(tape.nodes) == len(arrays)
+    for i, arr in enumerate(arrays):
+        assert tape.nodes[i].op == "leaf"
+        assert T.Var(tape, i).value is arr
+
+
+def test_set_norm_mode_keeps_every_array_object():
+    model = micro_model()
+    batch = set_norm_mode(model, "batch")
+    before, after = model_tensors(model), model_tensors(batch)
+    assert list(after) == list(before)
+    assert all(after[name] is arr for name, arr in before.items())
+    assert {b.norm1.mode for s in batch.stages for b in s.blocks} == {"batch"}
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,9 @@ def test_fd_quadratic():
 
 
 def test_fd_requires_positive_eps():
-    with pytest.raises(InvalidInputError):
-        T.finite_difference_grad(lambda a: 0.0, np.zeros(2), 0.0)
+    for coords in (None, [0]):  # the whole gradient, and sampled coordinates
+        with pytest.raises(InvalidInputError):
+            T.finite_difference_grad(lambda a: 0.0, np.zeros(2), 0.0, coords)
 
 
 # ---------------------------------------------------------------------------
