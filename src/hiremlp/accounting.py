@@ -14,14 +14,14 @@ tokens ARE counted by the traversal (closed form assumes divisibility).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
 from .hire import BottleneckMlpParams, HireModuleParams
-from .network import Model, ModelConfig, assemble_model, config_from_dict, config_to_dict
+from .network import Model, ModelConfig, assemble_model
 from .rearrange import padded_extent
 
 
@@ -176,11 +176,7 @@ def ablation_cost_sweep(
     base_config: ModelConfig, fc_counts=(1, 2, 3, 4), height: int = 224, width: int = 224
 ) -> list[tuple[int, CostReport]]:
     """Cost reports for the bottleneck-depth variants of one base config."""
-    out = []
-    for n in fc_counts:
-        if n < 1:
-            raise ConfigError(f"ablation_cost_sweep: invalid fc count {n}")
-        d = config_to_dict(base_config)
-        d["bottleneck_fcs"] = n
-        out.append((n, count_config(config_from_dict(d), height, width)))
-    return out
+    return [
+        (n, count_config(replace(base_config, bottleneck_fcs=n), height, width))
+        for n in fc_counts
+    ]

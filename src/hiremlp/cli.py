@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .accounting import ablation_cost_sweep, count_config
-from .errors import HireMlpError
+from .errors import HireMlpError, UsageError
 from .invariants import (
     GRAD_TOLERANCE,
     model_gradcheck,
@@ -24,16 +24,12 @@ from .invariants import (
     run_invariants,
     token_permutation,
 )
-from .network import build_model, forward, load_config, load_model_weights
+from .network import assemble_model, build_model, forward, load_config, load_model_weights
 from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, cross_rearrange, crop_pad, partition_pad
 from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, small_config
 from .weights import load_tensors
 
 BENCH_WARMUP = 5
-
-
-class UsageError(Exception):
-    pass
 
 
 def _human(n: float) -> str:
@@ -56,11 +52,12 @@ def _parse_hwc(spec: str, dims: int = 3) -> tuple[int, ...]:
     return parts
 
 
-def _load_config_arg(path: str):
+def _regular_file(path: str, what: str) -> Path:
     p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
-    return load_config(p)
+    if not p.is_file():
+        problem = "is not a regular file" if p.exists() else "not found"
+        raise UsageError(f"{what} file {problem}: {path}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +66,7 @@ def _load_config_arg(path: str):
 
 
 def cmd_summary(args) -> int:
-    cfg = _load_config_arg(args.config)
+    cfg = load_config(_regular_file(args.config, "config"))
     h, w = _parse_hwc(args.hw, 2)
     report = count_config(cfg, h, w)
     payload = {
@@ -129,22 +126,19 @@ def cmd_summary(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    cfg = _load_config_arg(args.config)
-    model = build_model(cfg, seed=args.seed)
+    cfg = load_config(_regular_file(args.config, "config"))
     if args.weights:
-        wpath = Path(args.weights)
-        if not wpath.exists():
-            raise UsageError(f"weights file not found: {args.weights}")
-        load_model_weights(model, load_tensors(wpath))
+        # every array is overwritten, so assemble with zeros instead of drawing
+        model = assemble_model(cfg, lambda shape: np.zeros(shape, dtype=np.float32))
+        load_model_weights(model, load_tensors(_regular_file(args.weights, "weights")))
+    else:
+        model = build_model(cfg, seed=args.seed)
     if args.random:
         h, w, c = _parse_hwc(args.random)
         rng = np.random.default_rng(args.seed)
         x = rng.standard_normal((1, h, w, c)).astype(np.float32)
     elif args.input:
-        ipath = Path(args.input)
-        if not ipath.exists():
-            raise UsageError(f"input file not found: {args.input}")
-        tensors = load_tensors(ipath)
+        tensors = load_tensors(_regular_file(args.input, "input"))
         if len(tensors) != 1:
             raise UsageError(f"input file must hold exactly one tensor, found {len(tensors)}")
         x = next(iter(tensors.values()))
@@ -357,7 +351,7 @@ def cmd_ablate(args) -> int:
 def cmd_bench(args) -> int:
     if args.iters < BENCH_WARMUP + 1:
         raise UsageError(f"--iters must be >= {BENCH_WARMUP + 1} (5 warmup + 1 measured)")
-    cfg = _load_config_arg(args.config)
+    cfg = load_config(_regular_file(args.config, "config"))
     model = build_model(cfg, seed=args.seed)
     h, w = _parse_hwc(args.hw, 2)
     rng = np.random.default_rng(args.seed)
@@ -468,9 +462,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except HireMlpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

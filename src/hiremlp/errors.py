@@ -17,5 +17,9 @@ class ConfigError(HireMlpError, ValueError):
     """A configuration or parameter structure is internally inconsistent."""
 
 
+class UsageError(HireMlpError, ValueError):
+    """A command-line argument or the file it names cannot be used."""
+
+
 class UnsupportedOpError(HireMlpError, KeyError):
     """Backward pass hit an op kind with no registered adjoint."""

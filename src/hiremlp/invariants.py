@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .accounting import count_config, hire_module_closed_form
+from .errors import ConfigError
 from .hire import (
     BottleneckMlpParams,
     HireBranchConfig,
@@ -22,7 +23,16 @@ from .hire import (
     hire_branch,
     hire_module,
 )
-from .network import build_model, cast_model, forward, forward_features, set_norm_mode
+from .network import (
+    ModelConfig,
+    PatchEmbedSpec,
+    StageConfig,
+    build_model,
+    cast_model,
+    forward,
+    forward_features,
+    set_norm_mode,
+)
 from .rearrange import (
     PADDING_MODES,
     RegionSpec,
@@ -254,6 +264,8 @@ def op_grad_cases(rng) -> list[tuple[str, np.ndarray, Callable]]:
 
 # max relative error (see rel_error) every gradient check must stay below
 GRAD_TOLERANCE = 1e-4
+# central-difference step of every gradient check (64-bit arrays)
+FD_EPS = 1e-5
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -262,27 +274,35 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def input_grad_error(fn: Callable, x: np.ndarray, *params) -> float:
+    """rel_error of the taped d sum(fn(x, *params))/dx against central differences.
+
+    The taped pass binds x and then every array of params as tape leaves;
+    the finite differences perturb a copy of x through eager calls.
+    """
+    tape = T.Tape()
+    xv = tape.leaf(x)
+    grads = T.backward(tape, T.sum_all(fn(xv, *T.bind_tree(params, tape))))
+    fd = T.finite_difference_grad(
+        lambda a: float(np.asarray(T.sum_all(fn(a, *params)))), x.copy(), FD_EPS
+    )
+    return rel_error(grads.wrt(xv), fd)
+
+
 def check_backward_vs_fd(seeds: int, rng) -> tuple[bool, str]:
     """Every registered op's adjoint agrees with central differences (64-bit)."""
     worst = 0.0
     rounds = max(1, seeds // 15)
     for _ in range(rounds):
         for name, leaf, fn in op_grad_cases(rng):
-            tape = T.Tape()
-            v = tape.leaf(leaf)
-            grads = T.backward(tape, T.sum_all(fn(v)))
-            ad = grads.wrt(v)
-            fd = T.finite_difference_grad(
-                lambda a: float(np.asarray(T.sum_all(fn(a)))), leaf.copy(), 1e-5
-            )
-            err = rel_error(ad, fd)
+            err = input_grad_error(fn, leaf)
             worst = max(worst, err)
             if err >= GRAD_TOLERANCE:
                 return False, f"op {name}: max rel err {err:.2e}"
     return True, f"max rel err {worst:.2e}"
 
 
-def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = 1e-5) -> dict[str, float]:
+def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = FD_EPS) -> dict[str, float]:
     """Full micro-model reverse mode vs central differences at 64-bit.
 
     Samples `coords` coordinates uniformly across the input and every
@@ -494,6 +514,39 @@ def check_residual_identity(seeds: int, rng) -> tuple[bool, str]:
     return True, "all stages collapse to patch embeds"
 
 
+def check_translation_equivariance(seeds: int, rng) -> tuple[bool, str]:
+    """A 32-px input roll rolls the all-circular pipeline's stage-4 map by 1 token."""
+    # stride 32 turns 32 px into 1 stage-4 token, and every stage's region
+    # size divides that stage's token shift, so the region grids realign
+    cfg = ModelConfig(
+        stages=(
+            StageConfig(depth=1, channels=8, h=2, w=2, s=1, padding="circular"),
+            StageConfig(depth=1, channels=12, h=2, w=2, s=1, padding="circular"),
+            StageConfig(depth=1, channels=16, h=2, w=2, s=1, padding="circular"),
+            StageConfig(depth=1, channels=20, h=1, w=1, s=1, padding="circular"),
+        ),
+        patch_embed=(
+            PatchEmbedSpec(7, 4),
+            PatchEmbedSpec(3, 2),
+            PatchEmbedSpec(3, 2),
+            PatchEmbedSpec(3, 2),
+        ),
+        expansion_ratio=(2, 2, 2, 2),
+        num_classes=2,
+        shift_phase=0,
+    )
+    model = build_model(cfg, seed=4)  # running-statistics norms by default
+    worst = 0.0
+    for _ in range(seeds):
+        x = rng.standard_normal((1, 64, 64, 3)).astype(np.float32)
+        base = np.asarray(forward_features(model, x)[-1])
+        rolled = np.asarray(forward_features(model, np.roll(x, 32, axis=1))[-1])
+        worst = max(worst, float(np.abs(rolled - np.roll(base, 1, axis=1)).max()))
+        if worst >= 1e-5:
+            return False, f"stage-4 deviation {worst:.2e} (>= 1e-5)"
+    return True, f"{seeds} inputs, max stage-4 deviation {worst:.2e} < 1e-5"
+
+
 def check_build_determinism(seeds: int, rng) -> tuple[bool, str]:
     from .network import model_checksum
 
@@ -512,34 +565,42 @@ def check_build_determinism(seeds: int, rng) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
+def probe_config(mh: int, mw: int, c: int) -> ModelConfig:
+    """Four one-block stages at C = c whose stride-1 embeddings keep the
+    input extents; stage 1 has regions mh x mw, the others 1 x 1."""
+    return ModelConfig(
+        stages=(
+            StageConfig(depth=1, channels=c, h=mh, w=mw, s=0),
+            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
+            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
+            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
+        ),
+        patch_embed=tuple(PatchEmbedSpec(1, 1) for _ in range(4)),
+        expansion_ratio=(1, 1, 1, 1),
+        num_classes=2,
+    )
+
+
+def hire_counts_both_routes(
+    mh: int, mw: int, c: int, height: int, width: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(traversal, closed form) (params, flops) of the stage-1 hire module of
+    probe_config(mh, mw, c) on a height x width input. The traversal counts
+    padding tokens, so the two agree only on divisible extents."""
+    rep = count_config(probe_config(mh, mw, c), height, width, weights_only=True)
+    return rep.subtotal("stage1.block0.hire"), hire_module_closed_form(mh, mw, c, height, width)
+
+
 def check_closed_form_reconciliation(seeds: int, rng) -> tuple[bool, str]:
     """Traversal hire-module counts equal the closed form exactly."""
-    from .network import ModelConfig, PatchEmbedSpec, StageConfig
-
     for _ in range(seeds):
         mh, mw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         c = int(rng.integers(1, 6)) * 2
         gh, gw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         hh, ww = mh * gh, mw * gw  # divisible extents only
-        cfg = ModelConfig(
-            stages=(
-                StageConfig(depth=1, channels=c, h=mh, w=mw, s=0),
-                StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-                StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-                StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            ),
-            patch_embed=tuple(PatchEmbedSpec(1, 1) for _ in range(4)),
-            expansion_ratio=(1, 1, 1, 1),
-            num_classes=2,
-        )
-        rep = count_config(cfg, hh, ww, weights_only=True)
-        got_p, got_f = rep.subtotal("stage1.block0.hire")
-        want_p, want_f = hire_module_closed_form(mh, mw, c, hh, ww)
-        if (got_p, got_f) != (want_p, want_f):
-            return False, (
-                f"h={mh} w={mw} C={c} H={hh} W={ww}: "
-                f"traversal ({got_p}, {got_f}) != closed form ({want_p}, {want_f})"
-            )
+        got, want = hire_counts_both_routes(mh, mw, c, hh, ww)
+        if got != want:
+            return False, f"h={mh} w={mw} C={c} H={hh} W={ww}: traversal {got} != closed form {want}"
     return True, f"{seeds} divisible configs, integer equality"
 
 
@@ -587,6 +648,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("resolution flexibility", check_resolution_flexibility),
         ("residual identity with zeroed blocks", check_residual_identity),
         ("seeded build determinism", check_build_determinism),
+        ("32-px roll rolls stage 4 by 1 token (all circular)", check_translation_equivariance),
     ],
     "accounting": [
         ("traversal equals closed form on hire modules", check_closed_form_reconciliation),

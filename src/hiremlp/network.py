@@ -177,7 +177,12 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 
 def load_config(path: str | Path) -> ModelConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 at byte {e.start}: {e.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -251,12 +256,10 @@ def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
     return T.apply_linear(y, p.fc2)
 
 
-def hire_block(x: T.ArrayLike, p: BlockParams, drop_path: Callable | None = None) -> T.ArrayLike:
-    """Two-residual block; drop_path is an inert training hook (identity)."""
-    dp = drop_path if drop_path is not None else (lambda v: v)
-    y = T.add(dp(hire_module(T.apply_norm(x, p.norm1), p.hire)), x)
-    z = T.add(dp(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp)), y)
-    return z
+def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
+    """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y."""
+    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
+    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
 
 
 def _window_index(extent: int, out: int, kernel: int, stride: int) -> np.ndarray:
@@ -470,16 +473,9 @@ def set_norm_mode(model: Model, mode: str) -> Model:
     )
 
 
-def map_branches(model: Model, fn) -> Model:
-    """Copy of the model with fn applied to every HireBranchConfig."""
-    return T.map_tree(model, lambda _, o: fn(o) if isinstance(o, HireBranchConfig) else o)
-
-
 def disable_cross(model: Model) -> Model:
     """Structural ablation: drop cross-region rearrange and restore entirely."""
-    return map_branches(model, lambda b: dataclasses.replace(b, shift=None))
-
-
-def disable_cross_restore(model: Model) -> Model:
-    """Structural ablation: shift tokens but never restore their positions."""
-    return map_branches(model, lambda b: dataclasses.replace(b, use_cross_restore=False))
+    return T.map_tree(
+        model,
+        lambda _, o: dataclasses.replace(o, shift=None) if isinstance(o, HireBranchConfig) else o,
+    )

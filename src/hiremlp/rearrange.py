@@ -12,9 +12,10 @@ Two levels operate on NHWC feature maps along a chosen spatial axis:
 `partition_pad` extends the axis to the next multiple of the region size
 so inner-region rearrangement always sees a divisible extent; `crop_pad`
 undoes it. `pad_axis`, shared with the patch embeddings, is the one
-padding routine; padding by nothing returns its input, which is safe
-because no op mutates its inputs. Everything else is an explicit
-index-mapped copy, never a view, and records on a tape when handed Vars.
+padding routine. Padding by nothing returns the input itself, and so does
+`crop_pad` when nothing was padded, which is safe because no op mutates
+its inputs. Every other transform is an explicit index-mapped copy, never
+a view, and records on a tape when handed Vars.
 """
 
 from __future__ import annotations
@@ -110,13 +111,16 @@ def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRec
 
 
 def crop_pad(x: T.ArrayLike, rec: PadRecord) -> T.ArrayLike:
-    """Crop a padded axis back to its original extent."""
+    """Crop a padded axis back to its original extent; returns x itself
+    when nothing was padded."""
     axis = AXIS_INDEX[rec.axis]
     xv = T._value(x)
     if xv.shape[axis] != rec.padded:
         raise ShapeError(
             f"crop_pad: extent {xv.shape[axis]} does not match PadRecord padded {rec.padded}"
         )
+    if rec.padded == rec.original:
+        return x
     return T.crop(x, axis, 0, rec.original)
 
 

@@ -13,7 +13,8 @@ from hiremlp.accounting import (
     hire_module_closed_form,
 )
 from hiremlp.errors import ConfigError
-from hiremlp.network import ModelConfig, PatchEmbedSpec, StageConfig, build_model
+from hiremlp.invariants import hire_counts_both_routes, probe_config
+from hiremlp.network import build_model
 from hiremlp.variants import (
     BUDGET_TOLERANCE,
     FC_SWEEP_REFERENCE,
@@ -58,26 +59,10 @@ def test_closed_form_rejects_nonpositive():
 # ---------------------------------------------------------------------------
 
 
-def single_linear_model(c: int):
-    """A degenerate config whose only real cost is one C->C channel FC."""
-    cfg = ModelConfig(
-        stages=(
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-        ),
-        patch_embed=tuple(PatchEmbedSpec(1, 1) for _ in range(4)),
-        expansion_ratio=(1, 1, 1, 1),
-        num_classes=2,
-    )
-    return build_model(cfg, seed=0)
-
-
 def test_single_linear_convention():
     # one C->C linear over HxW tokens: params C^2 + C, flops H*W*C^2
     c, hh, ww = 6, 10, 14
-    model = single_linear_model(c)
+    model = build_model(probe_config(1, 1, c), seed=0)
     rep = count_model(model, hh, ww)
     entry = next(e for e in rep.breakdown if e.path == "stage1.block0.hire.channel")
     assert entry.params == c * c + c
@@ -109,40 +94,13 @@ def test_norms_and_biases_in_params_not_flops():
     gw=st.integers(1, 4),
 )
 def test_reconciliation_closed_form_vs_traversal(mh, mw, half_c, gh, gw):
-    c = 2 * half_c
-    hh, ww = mh * gh, mw * gw  # divisible extents
-    cfg = ModelConfig(
-        stages=(
-            StageConfig(depth=1, channels=c, h=mh, w=mw, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=c, h=1, w=1, s=0),
-        ),
-        patch_embed=tuple(PatchEmbedSpec(1, 1) for _ in range(4)),
-        expansion_ratio=(1, 1, 1, 1),
-        num_classes=2,
-    )
-    rep = count_model(build_model(cfg, seed=0), hh, ww, weights_only=True)
-    got = rep.subtotal("stage1.block0.hire")
-    assert got == hire_module_closed_form(mh, mw, c, hh, ww)
+    got, want = hire_counts_both_routes(mh, mw, 2 * half_c, mh * gh, mw * gw)
+    assert got == want
 
 
 def test_padding_tokens_are_counted():
     # 7x7 with regions of 2 pads to 8: traversal must exceed the closed form
-    cfg = ModelConfig(
-        stages=(
-            StageConfig(depth=1, channels=4, h=2, w=2, s=0),
-            StageConfig(depth=1, channels=4, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=4, h=1, w=1, s=0),
-            StageConfig(depth=1, channels=4, h=1, w=1, s=0),
-        ),
-        patch_embed=tuple(PatchEmbedSpec(1, 1) for _ in range(4)),
-        expansion_ratio=(1, 1, 1, 1),
-        num_classes=2,
-    )
-    rep = count_model(build_model(cfg, seed=0), 7, 7, weights_only=True)
-    _, flops = rep.subtotal("stage1.block0.hire")
-    _, closed = hire_module_closed_form(2, 2, 4, 7, 7)
+    (_, flops), (_, closed) = hire_counts_both_routes(2, 2, 4, 7, 7)
     assert flops > closed
 
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from hiremlp.cli import main
-from hiremlp.network import save_config
+from hiremlp.errors import ConfigError
+from hiremlp.invariants import run_invariants
+from hiremlp.network import build_model, forward, model_tensors, save_config
 from hiremlp.variants import micro_config
 from hiremlp.weights import save_tensors
 
@@ -57,11 +59,6 @@ def test_summary_empty_file_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
-def test_summary_missing_file_exits_2(capsys):
-    code, _, _ = run(capsys, "summary", "--config", "/nonexistent.json")
-    assert code == 2
-
-
 def test_summary_json(capsys, micro_cfg_path):
     code, out, _ = run(capsys, "summary", "--config", micro_cfg_path, "--json")
     assert code == 0
@@ -95,13 +92,20 @@ def test_forward_undersized_exits_2(capsys, micro_cfg_path):
     assert "smaller" in err
 
 
-def test_forward_missing_weights_exits_2(capsys, micro_cfg_path):
-    code, _, _ = run(
-        capsys,
-        "forward", "--config", micro_cfg_path, "--random", "64x64x3",
-        "--weights", "/nonexistent.hire",
+def test_forward_weights_file_matches_library_forward(capsys, micro_cfg_path, tmp_path):
+    model = build_model(micro_config(), seed=5)
+    weights, image = tmp_path / "w.hire", tmp_path / "x.hire"
+    save_tensors(weights, model_tensors(model))
+    x = np.random.default_rng(0).standard_normal((40, 40, 3)).astype(np.float32)
+    save_tensors(image, {"": x})
+    code, out, _ = run(
+        capsys, "forward", "--config", micro_cfg_path, "--weights", str(weights),
+        "--input", str(image), "--json",
     )
-    assert code == 2
+    assert code == 0
+    logits = np.asarray(forward(model, x[None]))[0]
+    want = [{"index": int(i), "logit": float(logits[i])} for i in np.argsort(logits)[::-1]]
+    assert json.loads(out)["topk"] == [want]
 
 
 def test_forward_tensor_file_input(capsys, micro_cfg_path, tmp_path):
@@ -134,6 +138,8 @@ def test_invariants_unknown_scope_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["invariants", "--scope", "bogus"])
     assert e.value.code == 2
+    with pytest.raises(ConfigError):
+        run_invariants("bogus")
 
 
 def test_invariants_json(capsys):
@@ -231,6 +237,27 @@ def test_nonpositive_count_exits_2(capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {flag}: expected a positive integer, got '{value}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("summary", "--config", "{bad}"),
+        ("bench", "--config", "{bad}"),
+        ("forward", "--config", "{cfg}", "--random", "64x64x3", "--weights", "{bad}"),
+        ("forward", "--config", "{cfg}", "--input", "{bad}"),
+    ],
+    ids=["summary-config", "bench-config", "forward-weights", "forward-input"],
+)
+def test_unreadable_path_exits_2(capsys, micro_cfg_path, tmp_path, argv, case):
+    bad = {"missing": tmp_path / "missing", "directory": tmp_path, "non-utf8": tmp_path / "ff"}[case]
+    if case == "non-utf8":
+        bad.write_bytes(b"\xff")
+    code, out, err = run(capsys, *(a.format(bad=bad, cfg=micro_cfg_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_import_does_not_load_scipy():

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from hiremlp import tensor as T
 from hiremlp.accounting import count_config, count_model
 from hiremlp.errors import ConfigError, InvalidInputError
-from hiremlp.invariants import rel_error
+from hiremlp.invariants import (
+    GRAD_TOLERANCE,
+    check_translation_equivariance,
+    input_grad_error,
+    rel_error,
+)
 from hiremlp.network import (
     ChannelMlpParams,
     PatchEmbedParams,
@@ -118,15 +123,7 @@ def test_block_gradient_matches_fd(rng):
     model = set_norm_mode(cast_model(build_model(cfg, seed=2), np.float64), "batch")
     block = model.stages[2].blocks[0]  # C=16, regions 2x2, shift 1
     x0 = rng.standard_normal((1, 4, 4, 16))
-
-    tape = T.Tape()
-    xv = tape.leaf(x0)
-    taped = T.bind_tree(block, tape)
-    grads = T.backward(tape, T.sum_all(hire_block(xv, taped)))
-    fd = T.finite_difference_grad(
-        lambda a: float(np.asarray(T.sum_all(hire_block(a, block)))), x0.copy(), 1e-5
-    )
-    assert rel_error(grads.wrt(xv), fd) < 1e-4
+    assert input_grad_error(hire_block, x0, block) < GRAD_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -355,36 +352,9 @@ def test_model_weight_mismatch_detected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def equivariance_config():
-    """Stage region sizes divide the per-stage token shift of a 32-px roll."""
-    from hiremlp.network import ModelConfig, StageConfig
-
-    return ModelConfig(
-        stages=(
-            StageConfig(depth=1, channels=8, h=2, w=2, s=1, padding="circular"),
-            StageConfig(depth=1, channels=12, h=2, w=2, s=1, padding="circular"),
-            StageConfig(depth=1, channels=16, h=2, w=2, s=1, padding="circular"),
-            StageConfig(depth=1, channels=20, h=1, w=1, s=1, padding="circular"),
-        ),
-        patch_embed=(
-            PatchEmbedSpec(7, 4),
-            PatchEmbedSpec(3, 2),
-            PatchEmbedSpec(3, 2),
-            PatchEmbedSpec(3, 2),
-        ),
-        expansion_ratio=(2, 2, 2, 2),
-        num_classes=2,
-        shift_phase=0,
-    )
-
-
 def test_translation_equivariance_32px(rng):
-    model = build_model(equivariance_config(), seed=4)
-    x = rng.standard_normal((1, 64, 64, 3)).astype(np.float32)
-    base = np.asarray(forward_features(model, x)[-1])
-    rolled = np.asarray(forward_features(model, np.roll(x, 32, axis=1))[-1])
-    want = np.roll(base, 1, axis=1)  # 32 px -> 1 token at stride 32
-    assert np.abs(rolled - want).max() < 1e-5
+    passed, detail = check_translation_equivariance(1, rng)
+    assert passed, detail
 
 
 def test_disable_cross_helper(rng):

@@ -42,7 +42,8 @@ def test_pad_divisible_is_noop(rng):
     x = fmap(rng, h=8)
     xp, rec = partition_pad(x, RegionSpec("height", 4, "circular"))
     assert rec == PadRecord(8, 8, "height")
-    np.testing.assert_array_equal(xp, x)
+    assert xp is x
+    assert crop_pad(xp, rec) is xp
 
 
 def test_pad_circular_wraps(rng):

@@ -14,7 +14,13 @@ from hiremlp.errors import (
     ShapeError,
     UnsupportedOpError,
 )
-from hiremlp.invariants import op_grad_cases, rel_error
+from hiremlp.invariants import (
+    GRAD_TOLERANCE,
+    check_backward_vs_fd,
+    input_grad_error,
+    op_grad_cases,
+    rel_error,
+)
 from hiremlp.weights import load_tensors, save_tensors
 
 from oracles import erf_gelu, loop_matmul
@@ -242,9 +248,7 @@ def test_mixed_tapes_rejected(rng):
 
 
 def test_backward_vs_fd_every_op():
-    passed, detail = __import__("hiremlp.invariants", fromlist=["x"]).check_backward_vs_fd(
-        30, np.random.default_rng(5)
-    )
+    passed, detail = check_backward_vs_fd(30, np.random.default_rng(5))
     assert passed, detail
 
 
@@ -254,13 +258,7 @@ def test_op_adjoints_randomized(seed):
     r = np.random.default_rng(seed)
     cases = op_grad_cases(r)
     name, leaf, fn = cases[seed % len(cases)]
-    tape = T.Tape()
-    v = tape.leaf(leaf)
-    grads = T.backward(tape, T.sum_all(fn(v)))
-    fd = T.finite_difference_grad(
-        lambda a: float(np.asarray(T.sum_all(fn(a)))), leaf.copy(), 1e-5
-    )
-    assert rel_error(grads.wrt(v), fd) < 1e-4, name
+    assert input_grad_error(fn, leaf) < GRAD_TOLERANCE, name
 
 
 # ---------------------------------------------------------------------------
