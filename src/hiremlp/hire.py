@@ -4,29 +4,36 @@ Each spatial branch runs
     cross_rearrange -> partition_pad -> inner_rearrange -> bottleneck MLP
     -> inner_restore -> crop -> cross_restore
 so its output shape always equals its input shape, divisible extent or
-not. The channel branch is a single FC. Component toggles reproduce the
-structural ablations (no cross restore, no cross at all, no inner, no
-channel branch).
+not. Shift then pad runs as one gather, and crop then restore as another,
+composed from the rearrange index maps. The channel branch is a single
+FC. Component toggles reproduce the structural ablations (no cross
+restore, no cross at all, no inner, no channel branch).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .rearrange import (
     AXIS_INDEX,
+    PadRecord,
     RegionSpec,
     ShiftSpec,
+    crop_pad,
+    cross_index,
     cross_rearrange,
     cross_restore,
-    crop_pad,
+    cross_restore_index,
     inner_rearrange,
     inner_restore,
-    partition_pad,
+    pad_axis,
+    pad_index,
+    padded_extent,
 )
 
 
@@ -99,25 +106,59 @@ def _effective_shift(shift: ShiftSpec, extent: int) -> ShiftSpec:
     return shift
 
 
+@functools.lru_cache(maxsize=256)
+def _branch_gathers(
+    extent: int, region: RegionSpec, shift: ShiftSpec | None, restore: bool
+) -> tuple[np.ndarray | None, int, np.ndarray | None]:
+    """(gather in, padded extent, gather out) of a branch along an axis of `extent`.
+
+    Gather in is the shift composed with a non-zero padding: position i of
+    the padded axis reads x[shift[pad[i]]]; it is None with neither. Gather
+    out reads the restored tokens straight from the padded axis, so it
+    crops as it restores; it is None when nothing is restored, and the
+    branch then only crops. The maps are cached, so they are read-only.
+    """
+    padded = padded_extent(extent, region.region_size)
+    gather_in = None if shift is None else cross_index(extent, shift, region.region_size)
+    if padded > extent and region.padding_mode != "zero":
+        pad = pad_index(extent, 0, padded - extent, region.padding_mode)
+        gather_in = pad if gather_in is None else gather_in[pad]
+    gather_out = None
+    if shift is not None and restore:
+        gather_out = cross_restore_index(extent, shift, region.region_size)
+    for idx in (gather_in, gather_out):
+        if idx is not None:
+            idx.setflags(write=False)
+    return gather_in, padded, gather_out
+
+
 def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
     """Apply one spatial branch; output shape equals input shape exactly."""
     ax = AXIS_INDEX[cfg.axis]
-    extent = T._value(x).shape[ax]
-    shift = None
-    if cfg.shift is not None:
-        shift = _effective_shift(cfg.shift, extent)
-        x = cross_rearrange(x, cfg.axis, shift, cfg.region.region_size)
-    if cfg.use_inner:
-        x, rec = partition_pad(x, cfg.region)
-        y = inner_rearrange(x, cfg.region)
-        y = bottleneck_mlp(y, cfg.mlp)
-        y = inner_restore(y, cfg.region)
-        y = crop_pad(y, rec)
-    else:
+    xv = T._value(x)
+    if xv.size == 0:
+        raise InvalidInputError("hire_branch: empty input")
+    extent = xv.shape[ax]
+    shift = None if cfg.shift is None else _effective_shift(cfg.shift, extent)
+    m = cfg.region.region_size
+    if not cfg.use_inner:
+        if shift is not None:
+            x = cross_rearrange(x, cfg.axis, shift, m)
         y = bottleneck_mlp(x, cfg.mlp)
-    if shift is not None and cfg.use_cross_restore:
-        y = cross_restore(y, cfg.axis, shift, cfg.region.region_size)
-    return y
+        if shift is not None and cfg.use_cross_restore:
+            y = cross_restore(y, cfg.axis, shift, m)
+        return y
+    gather_in, padded, gather_out = _branch_gathers(extent, cfg.region, shift, cfg.use_cross_restore)
+    if gather_in is not None:
+        x = T.take(x, gather_in, ax)
+    if cfg.region.padding_mode == "zero":
+        x = pad_axis(x, ax, 0, padded - extent, "zero")
+    y = inner_rearrange(x, cfg.region)
+    y = bottleneck_mlp(y, cfg.mlp)
+    y = inner_restore(y, cfg.region)
+    if gather_out is not None:
+        return T.take(y, gather_out, ax)
+    return crop_pad(y, PadRecord(extent, padded, cfg.axis))
 
 
 @dataclass

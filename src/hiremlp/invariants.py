@@ -8,6 +8,7 @@ rearrange, hire, network, accounting.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,11 +16,13 @@ import numpy as np
 
 from . import tensor as T
 from .accounting import count_config, hire_module_closed_form
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .hire import (
     BottleneckMlpParams,
     HireBranchConfig,
     HireModuleParams,
+    _effective_shift,
+    bottleneck_mlp,
     hire_branch,
     hire_module,
 )
@@ -34,6 +37,7 @@ from .network import (
     set_norm_mode,
 )
 from .rearrange import (
+    AXIS_INDEX,
     PADDING_MODES,
     RegionSpec,
     ShiftSpec,
@@ -379,7 +383,7 @@ def check_finiteness(seeds: int, rng) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _rand_branch(rng, axis: str, c: int, m: int, shift=None, dtype=np.float64):
+def _rand_branch(rng, axis: str, c: int, m: int, shift=None, dtype=np.float64, padding="circular"):
     dims = [m * c, max(1, c // 2), m * c]
     layers = [
         T.LinearParams(
@@ -389,7 +393,7 @@ def _rand_branch(rng, axis: str, c: int, m: int, shift=None, dtype=np.float64):
         for a, b in zip(dims, dims[1:])
     ]
     return HireBranchConfig(
-        region=RegionSpec(axis, m, "circular"),
+        region=RegionSpec(axis, m, padding),
         mlp=BottleneckMlpParams(layers=layers, norm=None),
         shift=shift,
     )
@@ -467,6 +471,66 @@ def check_restore_omission(seeds: int, rng) -> tuple[bool, str]:
         if not np.array_equal(lhs, rhs):
             return False, f"restore-omitted != shifted(full) at s={s}"
     return True, f"{seeds} draws"
+
+
+def sequential_branch(x: T.ArrayLike, cfg: HireBranchConfig, mlp: Callable = bottleneck_mlp) -> T.ArrayLike:
+    """hire_branch (inner rearrangement on) as the chain of rearrange
+    primitives, one copy per step: the reference for its composed gathers.
+    mlp(v, cfg.mlp) stands in for the bottleneck MLP."""
+    extent = T._value(x).shape[AXIS_INDEX[cfg.axis]]
+    shift = None if cfg.shift is None else _effective_shift(cfg.shift, extent)
+    m = cfg.region.region_size
+    if shift is not None:
+        x = cross_rearrange(x, cfg.axis, shift, m)
+    x, rec = partition_pad(x, cfg.region)
+    y = inner_restore(mlp(inner_rearrange(x, cfg.region), cfg.mlp), cfg.region)
+    y = crop_pad(y, rec)
+    if shift is not None and cfg.use_cross_restore:
+        y = cross_restore(y, cfg.axis, shift, m)
+    return y
+
+
+def _outcome(fn, *args):
+    try:
+        return np.asarray(fn(*args))
+    except InvalidInputError as e:
+        return str(e)
+
+
+def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
+    """hire_branch bitwise-equals sequential_branch: every padding mode and
+    manner, divisible and non-divisible extents, shift on and off, cross
+    restore on and off, float32 and float64. Where the primitives reject
+    the input, the branch must reject it with the same message."""
+    cases = 0
+    combos = itertools.product(
+        PADDING_MODES, ("shifted", "shuffle"), (True, False), (True, False), (True, False),
+        (np.float32, np.float64),
+    )
+    for mode, manner, divisible, shifted, restore, dtype in list(combos) * max(1, seeds // 10):
+        axis = str(rng.choice(["height", "width"]))
+        m, c = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        g = int(rng.integers(1, 4)) if divisible else int(rng.integers(0, 3))
+        extent = m * g + (0 if divisible else int(rng.integers(1, m)))
+        shape = [int(rng.integers(1, 3)), int(rng.integers(1, 6)), int(rng.integers(1, 6)), c]
+        shape[AXIS_INDEX[axis]] = extent
+        x = rng.standard_normal(shape).astype(dtype)
+        shift = None
+        if shifted:
+            shift = ShiftSpec(int(rng.integers(0, 2 * extent)) if manner == "shifted" else 0, manner)
+        cfg = dataclasses.replace(
+            _rand_branch(rng, axis, c, m, shift, dtype, mode), use_cross_restore=restore
+        )
+        got, want = _outcome(hire_branch, x, cfg), _outcome(sequential_branch, x, cfg)
+        if type(got) is not type(want) or not np.array_equal(got, want) or (
+            isinstance(got, np.ndarray) and got.dtype != want.dtype
+        ):
+            return False, (
+                f"{mode}/{manner} extent {extent} m={m} shift={shift} restore={restore} "
+                f"{np.dtype(dtype).name}: composed {got!r:.60} != sequential {want!r:.60}"
+            )
+        cases += 1
+    return True, f"{cases} cases, bitwise"
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +707,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("module equals sum of branches", check_branch_additivity),
         ("step 0 bitwise-equals cross disabled", check_zero_step_equivalence),
         ("omitting cross restore shifts output by the step", check_restore_omission),
+        ("composed branch gathers equal the sequential primitives (bitwise)", check_composed_gathers),
     ],
     "network": [
         ("resolution flexibility", check_resolution_flexibility),

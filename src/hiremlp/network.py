@@ -31,7 +31,7 @@ from .hire import (
     bottleneck_widths,
     hire_module,
 )
-from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, pad_axis
+from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
 
 MIN_INPUT = 32
 
@@ -140,38 +140,70 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
+_REQUIRED = object()
+_JSON_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def _typed(v, kind: type, where: str):
+    """v when it is of the JSON kind `kind` (int, str, list or dict), else a
+    ConfigError naming `where`; an integral float counts as an int."""
+    if kind is int and isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
+        got = _JSON_NAMES.get(type(v), type(v).__name__)
+        raise ConfigError(f"{where}: expected {_JSON_NAMES[kind]}, got {got}")
+    return v
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """obj[key] checked by _typed; `where` is the JSON path of obj."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing")
+        return default
+    return _typed(obj[key], kind, path)
+
+
+def _objects(d: dict, key: str) -> list[tuple[dict, str]]:
+    """(object, JSON path) of every entry of the array d[key]."""
+    items = _field(d, key, list, "")
+    return [(_typed(v, dict, f"{key}[{i}]"), f"{key}[{i}]") for i, v in enumerate(items)]
+
+
 def config_from_dict(d: dict) -> ModelConfig:
-    try:
-        stages = tuple(
-            StageConfig(
-                depth=int(s["depth"]),
-                channels=int(s["channels"]),
-                h=int(s["h"]),
-                w=int(s["w"]),
-                s=int(s["s"]),
-                padding=s.get("padding", "circular"),
-                manner=s.get("manner", "shifted"),
-            )
-            for s in d["stages"]
+    """Config from its JSON form; a type error names the JSON path, as in
+    `stages[2].channels: expected an integer, got a string`."""
+    d = _typed(d, dict, "top level")
+    stages = tuple(
+        StageConfig(
+            **{k: _field(s, k, int, where) for k in ("depth", "channels", "h", "w", "s")},
+            padding=_field(s, "padding", str, where, "circular"),
+            manner=_field(s, "manner", str, where, "shifted"),
         )
-        ratio = d["expansion_ratio"]
-        if isinstance(ratio, (int, float)):
-            ratio = [ratio] * len(stages)
-        embeds = tuple(
-            PatchEmbedSpec(kernel=int(p["kernel"]), stride=int(p["stride"]))
-            for p in d["patch_embed"]
-        )
-        cfg = ModelConfig(
-            stages=stages,
-            patch_embed=embeds,
-            expansion_ratio=tuple(int(r) for r in ratio),
-            num_classes=int(d.get("num_classes", 1000)),
-            bottleneck_fcs=int(d.get("bottleneck_fcs", 2)),
-            shift_phase=int(d.get("shift_phase", 1)),
-            meta=dict(d.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed model config: {e}") from None
+        for s, where in _objects(d, "stages")
+    )
+    embeds = tuple(
+        PatchEmbedSpec(**{k: _field(p, k, int, where) for k in ("kernel", "stride")})
+        for p, where in _objects(d, "patch_embed")
+    )
+    ratio = d.get("expansion_ratio")
+    if isinstance(ratio, list):
+        ratio = tuple(_typed(r, int, f"expansion_ratio[{i}]") for i, r in enumerate(ratio))
+    else:
+        ratio = (_field(d, "expansion_ratio", int, ""),) * len(stages)
+    cfg = ModelConfig(
+        stages=stages,
+        patch_embed=embeds,
+        expansion_ratio=ratio,
+        num_classes=_field(d, "num_classes", int, "", 1000),
+        bottleneck_fcs=_field(d, "bottleneck_fcs", int, "", 2),
+        shift_phase=_field(d, "shift_phase", int, "", 1),
+        meta=dict(_field(d, "meta", dict, "", {})),
+    )
     cfg.validate()
     return cfg
 
@@ -187,9 +219,10 @@ def load_config(path: str | Path) -> ModelConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: not valid JSON: {e.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}:1: expected a JSON object at top level")
-    return config_from_dict(data)
+    try:
+        return config_from_dict(data)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def save_config(cfg: ModelConfig, path: str | Path) -> None:
@@ -262,16 +295,29 @@ def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
 
 
-def _window_index(extent: int, out: int, kernel: int, stride: int) -> np.ndarray:
-    # window o covers padded positions [o*stride, o*stride + kernel)
-    return (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
+def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, padding: str) -> T.ArrayLike:
+    """Gather `out` overlapping windows of one axis, window after window.
+
+    Window o covers positions [o*stride, o*stride + kernel) of the axis
+    padded, split evenly before and after, until the last window fits. A
+    non-zero padding is composed into the gather; zero padding pads first.
+    """
+    extent = T._value(x).shape[axis]
+    pad = max(0, (out - 1) * stride + kernel - extent)
+    window = (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
+    if padding == "zero":
+        x = pad_axis(x, axis, pad // 2, pad - pad // 2, padding)
+    elif pad:
+        window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
+    return T.take(x, window, axis)
 
 
 def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     """Overlapping-window unfold + linear projection.
 
     Output spatial extents are ceil(extent / stride); windows that overrun
-    the input read padded tokens (stage padding mode).
+    the input read padded tokens (stage padding mode). The windows cost one
+    gather per axis and one transpose; the reshapes are views.
     """
     xv = T._value(x)
     if xv.ndim != 4:
@@ -282,12 +328,9 @@ def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     k, st = p.spec.kernel, p.spec.stride
     oh = -(-h // st)
     ow = -(-w // st)
-    for axis, out in ((1, oh), (2, ow)):
-        pad = max(0, (out - 1) * st + k - T._value(x).shape[axis])
-        x = pad_axis(x, axis, pad // 2, pad - pad // 2, p.padding)
-    x = T.take(x, _window_index(T._value(x).shape[1], oh, k, st), 1)
-    x = T.reshape(x, (n, oh, k, T._value(x).shape[2], c))
-    x = T.take(x, _window_index(T._value(x).shape[3], ow, k, st), 3)
+    x = _unfold(x, 1, oh, k, st, p.padding)  # [N, oh*k, W, C]
+    x = T.reshape(x, (n, oh, k, w, c))
+    x = _unfold(x, 3, ow, k, st, p.padding)  # [N, oh, k, ow*k, C]
     x = T.reshape(x, (n, oh, k, ow, k, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
     x = T.reshape(x, (n, oh, ow, k * k * c))
@@ -316,6 +359,12 @@ def forward_features(model: Model, image: T.ArrayLike) -> list[T.ArrayLike]:
         raise InvalidInputError(
             f"forward: input {xv.shape[1]}x{xv.shape[2]} is smaller than "
             f"{MIN_INPUT}x{MIN_INPUT}"
+        )
+    finite = np.isfinite(xv)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        raise InvalidInputError(
+            f"forward: input has {len(bad)} non-finite values, the first at index {tuple(bad[0].tolist())}"
         )
     feats = []
     x = image

@@ -14,8 +14,15 @@ so inner-region rearrangement always sees a divisible extent; `crop_pad`
 undoes it. `pad_axis`, shared with the patch embeddings, is the one
 padding routine. Padding by nothing returns the input itself, and so does
 `crop_pad` when nothing was padded, which is safe because no op mutates
-its inputs. Every other transform is an explicit index-mapped copy, never
-a view, and records on a tape when handed Vars.
+its inputs. The width-axis inner rearrangement and restore are reshape
+views; every other transform is an index-mapped copy. All of them record
+on a tape when handed Vars.
+
+The gathers are built by `pad_index`, `cross_index` and
+`cross_restore_index`, so a caller can compose them: `hire.hire_branch`
+runs shift then pad as one gather, and crop then restore as another.
+The primitives here stay the step-by-step reference those gathers are
+checked against.
 """
 
 from __future__ import annotations
@@ -79,22 +86,26 @@ def padded_extent(extent: int, region_size: int) -> int:
     return -(-extent // region_size) * region_size
 
 
-def pad_axis(x: T.ArrayLike, axis: int, before: int, after: int, mode: str) -> T.ArrayLike:
-    """Pad x along axis with `before` and `after` new tokens in a padding mode.
+def pad_index(extent: int, before: int, after: int, mode: str) -> np.ndarray:
+    """Source position of every token of an axis padded in a non-zero mode.
 
     circular wraps from the opposite edge, reflect mirrors without repeating
-    the edge, replicate repeats the edge, zero fills zeros. Returns x itself
-    when nothing is added.
+    the edge, replicate repeats the edge.
+    """
+    if mode == "reflect" and extent == 1 and before + after:
+        raise InvalidInputError("reflect padding undefined for extent 1")
+    return np.pad(np.arange(extent), (before, after), mode=_NP_PAD_MODE[mode])
+
+
+def pad_axis(x: T.ArrayLike, axis: int, before: int, after: int, mode: str) -> T.ArrayLike:
+    """Pad x along axis with `before` and `after` new tokens in a padding mode
+    (see pad_index; zero fills zeros). Returns x itself when nothing is added.
     """
     if before == 0 and after == 0:
         return x
     if mode == "zero":
         return T.pad_zero(x, axis, before, after)
-    extent = T._value(x).shape[axis]
-    if mode == "reflect" and extent == 1:
-        raise InvalidInputError(f"reflect padding undefined for extent 1 (axis {axis})")
-    idx = np.pad(np.arange(extent), (before, after), mode=_NP_PAD_MODE[mode])
-    return T.take(x, idx, axis)
+    return T.take(x, pad_index(T._value(x).shape[axis], before, after, mode), axis)
 
 
 def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRecord]:
@@ -202,6 +213,22 @@ def _check_shift(extent: int, shift: ShiftSpec, region_size: int | None) -> None
             )
 
 
+def cross_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
+    """Source position of every token after cross_rearrange along an axis of `extent`."""
+    _check_shift(extent, shift, region_size)
+    if shift.manner == "shifted":
+        return _shift_index(extent, shift.step)
+    return _shuffle_index(extent, region_size)
+
+
+def cross_restore_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
+    """Source position of every token after cross_restore: the inverse of cross_index."""
+    _check_shift(extent, shift, region_size)
+    if shift.manner == "shifted":
+        return _shift_index(extent, -shift.step % extent if extent else 0)
+    return _shuffle_inverse_index(extent, region_size)
+
+
 def cross_rearrange(
     x: T.ArrayLike, axis: str, shift: ShiftSpec, region_size: int | None = None
 ) -> T.ArrayLike:
@@ -212,13 +239,7 @@ def cross_rearrange(
     offset) factorization transposed, interleaving regions.
     """
     ax = AXIS_INDEX[axis]
-    extent = T._value(x).shape[ax]
-    _check_shift(extent, shift, region_size)
-    if shift.manner == "shifted":
-        idx = _shift_index(extent, shift.step)
-    else:
-        idx = _shuffle_index(extent, region_size)
-    return T.take(x, idx, ax)
+    return T.take(x, cross_index(T._value(x).shape[ax], shift, region_size), ax)
 
 
 def cross_restore(
@@ -226,10 +247,4 @@ def cross_restore(
 ) -> T.ArrayLike:
     """Exact inverse of cross_rearrange."""
     ax = AXIS_INDEX[axis]
-    extent = T._value(x).shape[ax]
-    _check_shift(extent, shift, region_size)
-    if shift.manner == "shifted":
-        idx = _shift_index(extent, -shift.step % extent if extent else 0)
-    else:
-        idx = _shuffle_inverse_index(extent, region_size)
-    return T.take(x, idx, ax)
+    return T.take(x, cross_restore_index(T._value(x).shape[ax], shift, region_size), ax)

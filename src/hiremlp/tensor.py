@@ -1,10 +1,13 @@
 """Dense-array primitives and a minimal reverse-mode tape.
 
 Feature maps are plain numpy arrays in NHWC layout (row-major, channels
-fastest-varying). Every op here is pure: inputs are never mutated, and a
-fresh array is returned. Ops accept either numpy arrays (eager) or `Var`
-handles bound to a `Tape`; if any input is a `Var` the op is recorded so
-`backward` can replay adjoints. One tape serves one forward pass.
+fastest-varying). Every op here is pure: no op writes into one of its
+inputs, or into a result it has already returned. A result may share
+memory with an input, though: `reshape` returns a view whenever numpy can
+give one, so a caller that wants to write into a result must own it.
+Ops accept either numpy arrays (eager) or `Var` handles bound to a
+`Tape`; if any input is a `Var` the op is recorded so `backward` can
+replay adjoints. One tape serves one forward pass.
 
 Precision is a property of the arrays, not a global switch: float32 for
 inference, float64 for gradient checks (central differences are useless
@@ -215,7 +218,7 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> Ar
     x2 = xv.reshape(-1, xv.shape[-1])
     out2 = x2 @ wv
     if bv is not None:
-        out2 = out2 + bv
+        out2 += bv  # the matmul result is fresh, so the bias goes in place
     out = out2.reshape(xv.shape[:-1] + (wv.shape[1],))
     tape = _find_tape(x, weight, bias)
     if tape is None:
@@ -351,7 +354,10 @@ def batch_norm(
     mode="batch" normalizes with statistics of x itself (the differentiable
     path); mode="running" applies the stored statistics (inference only —
     recording it on a tape and calling backward raises UnsupportedOpError,
-    since no adjoint is registered for it).
+    since no adjoint is registered for it). Running mode folds the
+    statistics and the affine into a per-channel scale s = gamma / sqrt(var
+    + eps) and shift t = beta - mean s, and makes two passes over x:
+    x s, then + t.
     """
     xv = _value(x)
     gv, bv = _value(gamma), _value(beta)
@@ -365,23 +371,24 @@ def batch_norm(
         count = int(np.prod([xv.shape[a] for a in axes])) if xv.ndim > 1 else xv.size
         if count == 0 or xv.size == 0:
             raise InvalidInputError("batch_norm: zero-size batch in batch-statistics mode")
-        mean = xv.mean(axis=axes)
-        var = xv.var(axis=axes)
+        invstd = 1.0 / np.sqrt(xv.var(axis=axes) + eps)
+        xhat = (xv - xv.mean(axis=axes)) * invstd
+        out = xhat * gv + bv
+        ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv, "axes": axes}
     elif mode == "running":
         if running_mean is None or running_var is None:
             raise ConfigError("batch_norm: running mode requires stored statistics")
         # stored statistics are buffers, never differentiated
-        mean, var = _value(running_mean), _value(running_var)
+        scale = gv / np.sqrt(_value(running_var) + eps)
+        out = xv * scale
+        out += bv - _value(running_mean) * scale
+        ctx = {}
     else:
         raise ConfigError(f"batch_norm: unknown mode '{mode}'")
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * invstd
-    out = xhat * gv + bv
     tape = _find_tape(x, gamma, beta)
     if tape is None:
         return out
     op = "batch_norm" if mode == "batch" else "batch_norm_running"
-    ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv, "axes": axes}
     return tape._record(op, out, (_parent(x), _parent(gamma), _parent(beta)), ctx)
 
 
@@ -408,7 +415,7 @@ def reshape(x: ArrayLike, shape: Sequence[int]) -> ArrayLike:
     xv = _value(x)
     shape = tuple(shape)
     try:
-        out = xv.reshape(shape).copy()
+        out = xv.reshape(shape)  # a view whenever numpy can give one
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {xv.shape} as {shape}: {e}") from None
     tape = _find_tape(x)

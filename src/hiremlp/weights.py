@@ -10,6 +10,7 @@ Layout (little-endian throughout):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .errors import InvalidInputError
 
 MAGIC = b"HIRE"
 VERSION = 1
+MAX_RANK = 8
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
@@ -37,29 +39,57 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by save_tensors; returns float32 arrays."""
+    """Read a container written by save_tensors; returns float32 arrays.
+
+    Every header field is checked against the bytes that remain before
+    anything is sliced or allocated, so a damaged file raises
+    InvalidInputError naming the path and the byte offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+    size = len(blob)
+
+    def need(off: int, n: int, what: str) -> None:
+        if n > size - off:
+            raise InvalidInputError(f"{path}: byte {off}: {what} needs {n} bytes, {size - off} remain")
+
+    need(0, 12, "header")
     if blob[:4] != MAGIC:
-        raise InvalidInputError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+        raise InvalidInputError(f"{path}: byte 0: bad magic {blob[:4]!r}, expected {MAGIC!r}")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
-        raise InvalidInputError(f"{path}: unsupported version {version}")
+        raise InvalidInputError(f"{path}: byte 4: unsupported version {version}")
     off = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
+        need(off, 2, "name length")
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
-        name = blob[off : off + name_len].decode("utf-8")
+        need(off, name_len, "name")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise InvalidInputError(f"{path}: byte {off + e.start}: name is not UTF-8") from None
+        if name in out:
+            raise InvalidInputError(f"{path}: byte {off}: duplicate tensor name {name!r}")
         off += name_len
-        (rank,) = struct.unpack_from("<B", blob, off)
+        need(off, 1, f"rank of {name!r}")
+        rank = blob[off]
+        if rank > MAX_RANK:
+            raise InvalidInputError(f"{path}: byte {off}: rank {rank} of {name!r} exceeds {MAX_RANK}")
         off += 1
+        need(off, 8 * rank, f"dims of {name!r}")
         dims = struct.unpack_from(f"<{rank}Q", blob, off)
+        # Python ints: no overflow before the checks. An empty tensor needs
+        # no bytes, but numpy still cannot hold a shape whose other dims
+        # overflow its index type.
+        if 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+            raise InvalidInputError(f"{path}: byte {off}: dims {dims} of {name!r} are too large")
         off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
+        n = math.prod(dims)
+        need(off, 4 * n, f"data of {name!r} {dims}")
+        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims).copy()
         off += 4 * n
-        out[name] = arr.copy()
-    if off != len(blob):
-        raise InvalidInputError(f"{path}: {len(blob) - off} trailing bytes")
+    if off != size:
+        raise InvalidInputError(f"{path}: byte {off}: {size - off} trailing bytes")
     return out

@@ -6,6 +6,9 @@ loops, explicit index maps, and mpmath for high-precision scalars.
 
 import numpy as np
 
+from hiremlp import tensor as T
+from hiremlp.invariants import sequential_branch
+
 
 def loop_matmul(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Triple-loop affine map over the last axis."""
@@ -98,3 +101,62 @@ def per_token_mlp(x: np.ndarray, w1, b1, w2, b2, act) -> np.ndarray:
                 hid = act(x[bn, i, j] @ w1 + b1)
                 out[bn, i, j] = hid @ w2 + b2
     return out
+
+
+# ---------------------------------------------------------------------------
+# A reference forward: the rearrange primitives one step at a time, the
+# explicit (x - mean) invstd gamma + beta batch norm, numpy unfolds
+# ---------------------------------------------------------------------------
+
+_NP_PAD = {"zero": "constant", "circular": "wrap", "reflect": "reflect", "replicate": "edge"}
+
+
+def explicit_batch_norm(x: np.ndarray, p) -> np.ndarray:
+    """Running-statistics batch norm as (x - mean) invstd gamma + beta."""
+    invstd = 1.0 / np.sqrt(p.running_var + p.eps)
+    return (x - p.running_mean) * invstd * p.gamma + p.beta
+
+
+def reference_linear(x: np.ndarray, p) -> np.ndarray:
+    y = (x.reshape(-1, x.shape[-1]) @ p.weight).reshape(x.shape[:-1] + (p.weight.shape[1],))
+    return y if p.bias is None else y + p.bias
+
+
+def reference_bottleneck(v: np.ndarray, p) -> np.ndarray:
+    for i, layer in enumerate(p.layers):
+        v = reference_linear(v, layer)
+        if i < len(p.layers) - 1:
+            if i == 0 and p.norm is not None:
+                v = explicit_batch_norm(v, p.norm)
+            v = np.asarray(T.activation(v, p.activation))
+    return v
+
+
+def reference_patch_embed(x: np.ndarray, p) -> np.ndarray:
+    """Unfold by np.pad and a strided sliding-window view, then project."""
+    k, st = p.spec.kernel, p.spec.stride
+    n, h, w, c = x.shape
+    oh, ow = -(-h // st), -(-w // st)
+    ph, pw = (oh - 1) * st + k - h, (ow - 1) * st + k - w
+    widths = ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0))
+    xp = np.pad(x, widths, mode=_NP_PAD[p.padding])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::st, ::st]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, k * k * c)
+    return reference_linear(cols, p.proj)
+
+
+def reference_forward(model, x: np.ndarray) -> np.ndarray:
+    """Logits of `model` (running-statistics norms) without any composed gather."""
+    for stage in model.stages:
+        x = reference_patch_embed(x, stage.embed)
+        for b in stage.blocks:
+            u = explicit_batch_norm(x, b.norm1)
+            hire = b.hire
+            y = x + sequential_branch(u, hire.width, reference_bottleneck)
+            y = y + sequential_branch(u, hire.height, reference_bottleneck)
+            y = y + reference_linear(u, hire.channel)
+            v = explicit_batch_norm(y, b.norm2)
+            mlp = b.channel_mlp
+            hidden = np.asarray(T.activation(reference_linear(v, mlp.fc1), mlp.activation))
+            x = y + reference_linear(hidden, mlp.fc2)
+    return reference_linear(x.mean(axis=(1, 2)), model.head)

@@ -118,6 +118,41 @@ def test_forward_tensor_file_input(capsys, micro_cfg_path, tmp_path):
     assert len(data["topk"][0]) == 2
 
 
+def test_forward_non_finite_input_exits_2(capsys, micro_cfg_path, tmp_path):
+    x = np.full((40, 40, 3), np.nan, dtype=np.float32)
+    path = tmp_path / "nan.hire"
+    save_tensors(path, {"": x})
+    code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: forward: input has 4800 non-finite values, the first at index (0, 0, 0, 0)\n"
+
+
+@pytest.mark.parametrize("flag", ["--weights", "--input"])
+def test_forward_damaged_tensor_file_exits_2(capsys, micro_cfg_path, tmp_path, flag):
+    path = tmp_path / "damaged.hire"
+    save_tensors(path, model_tensors(build_model(micro_config(), seed=0)))
+    path.write_bytes(path.read_bytes()[:-5])
+    argv = ["forward", "--config", micro_cfg_path, flag, str(path)]
+    if flag == "--weights":
+        argv += ["--random", "40x40x3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: byte ") and err.count("\n") == 1, err
+
+
+def test_config_type_error_exits_2_naming_file_and_field(capsys, tmp_path):
+    d = json.loads((CONFIGS / "micro.json").read_text())
+    d["stages"][2]["channels"] = "wide"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "summary", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: stages[2].channels: expected an integer, got a string\n"
+
+
 def test_forward_without_input_exits_2(capsys, micro_cfg_path):
     code, _, _ = run(capsys, "forward", "--config", micro_cfg_path)
     assert code == 2

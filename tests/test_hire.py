@@ -18,7 +18,12 @@ from hiremlp.hire import (
     hire_branch,
     hire_module,
 )
-from hiremlp.invariants import GRAD_TOLERANCE, input_grad_error, rel_error
+from hiremlp.invariants import (
+    GRAD_TOLERANCE,
+    check_composed_gathers,
+    input_grad_error,
+    rel_error,
+)
 from hiremlp.rearrange import RegionSpec, ShiftSpec, cross_rearrange
 
 from oracles import loop_matmul
@@ -144,6 +149,11 @@ def test_branch_shape_preserved_any_extent(h, w, m, s, axis, mode, seed):
     cfg = make_branch(r, axis, c, m, ShiftSpec(s % max(1, extent)), padding=mode)
     x = r.standard_normal((1, h, w, c))
     assert np.asarray(hire_branch(x, cfg)).shape == x.shape
+
+
+def test_composed_gathers_equal_sequential_primitives(rng):
+    passed, detail = check_composed_gathers(10, rng)
+    assert passed, detail
 
 
 def test_branch_gradient_matches_fd(rng):

@@ -23,7 +23,7 @@ from hiremlp.invariants import (
 )
 from hiremlp.weights import load_tensors, save_tensors
 
-from oracles import erf_gelu, loop_matmul
+from oracles import erf_gelu, explicit_batch_norm, loop_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,22 @@ def test_batch_norm_running_identity():
         mode="running",
     )
     np.testing.assert_allclose(T.apply_norm(x, p), x, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_batch_norm_running_scale_shift_matches_explicit_form(rng, dtype, rtol):
+    c = 5
+    p = T.NormParams(
+        gamma=(1 + 0.5 * rng.standard_normal(c)).astype(dtype),
+        beta=rng.standard_normal(c).astype(dtype),
+        running_mean=rng.standard_normal(c).astype(dtype),
+        running_var=(0.1 + rng.random(c)).astype(dtype),
+    )
+    x = (3 * rng.standard_normal((2, 4, 3, c))).astype(dtype)
+    got = np.asarray(T.apply_norm(x, p))
+    want = explicit_batch_norm(x, p)
+    assert got.dtype == dtype
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def test_batch_norm_statistics(rng):
@@ -301,7 +317,18 @@ def test_ops_do_not_mutate_inputs(rng):
     T.crop(x, 1, 1, 4)
     T.transpose(x, (0, 2, 1, 3))
     T.mean_axes(x, (1, 2))
+    T.reshape(x, (2, 20, 3))
+    T.apply_norm(x, T.identity_norm(3, dtype=np.float64))
     assert x.tobytes() == before
+
+
+def test_reshape_is_a_view_when_numpy_can_give_one(rng):
+    x = rng.standard_normal((2, 6, 4, 3))
+    assert np.shares_memory(T.reshape(x, (2, 6, 2, 6)), x)
+    y = x.transpose(0, 2, 1, 3)  # not contiguous: merging its axes copies
+    z = T.reshape(y, (2, 24, 3))
+    assert not np.shares_memory(z, y)
+    np.testing.assert_array_equal(z, y.reshape(2, 24, 3))
 
 
 def test_dtype_is_preserved(rng):
@@ -343,6 +370,72 @@ def test_weight_header_layout(tmp_path):
     assert blob[15] == 2  # rank
     dims = np.frombuffer(blob[16:32], dtype="<u8")
     np.testing.assert_array_equal(dims, [2, 3])
+
+
+def _damaged(tmp_path, blob: bytes):
+    path = tmp_path / "damaged.hire"
+    path.write_bytes(blob)
+    return path
+
+
+def _valid_blob(tmp_path) -> bytes:
+    path = tmp_path / "valid.hire"
+    save_tensors(path, {"w": np.ones((2, 3), dtype=np.float32), "b": np.zeros(4, dtype=np.float32)})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda b: b[:-3], "byte 68: data of 'b' (4,) needs 16 bytes, 13 remain"),
+        (lambda b: b[:6], "byte 0: header needs 12 bytes, 6 remain"),
+        (lambda b: b[:14] + b"\xff" + b[15:], "byte 14: name is not UTF-8"),
+        (
+            lambda b: b[:16] + (1 << 40).to_bytes(8, "little") + b[24:],
+            "byte 32: data of 'w' (1099511627776, 3) needs",
+        ),
+        (lambda b: b[:15] + bytes([9]) + b[16:], "byte 15: rank 9 of 'w' exceeds 8"),
+        (
+            lambda b: b[:16] + bytes(8) + (1 << 62).to_bytes(8, "little") + b[32:],
+            "byte 16: dims (0, 4611686018427387904) of 'w' are too large",
+        ),
+        (lambda b: b[:58] + b"w" + b[59:], "byte 58: duplicate tensor name 'w'"),
+        (lambda b: b + b"\0", "byte 84: 1 trailing bytes"),
+    ],
+    ids=[
+        "truncated", "six-bytes", "non-utf8-name", "dim-2^40", "rank-9", "empty-dims-2^62",
+        "duplicate-name", "trailing",
+    ],
+)
+def test_weight_damaged_header_names_path_and_offset(tmp_path, damage, message):
+    path = _damaged(tmp_path, damage(_valid_blob(tmp_path)))
+    with pytest.raises(InvalidInputError) as e:
+        load_tensors(path)
+    assert str(e.value).startswith(f"{path}: {message}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_weight_truncated_or_mutated_loads_or_raises_invalid_input(tmp_path_factory, data):
+    shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    tensors = {
+        name: np.zeros(shape, dtype=np.float32)
+        for name, shape in data.draw(st.dictionaries(st.text(max_size=4), shapes, max_size=3)).items()
+    }
+    path = tmp_path_factory.mktemp("hire") / "w.hire"
+    save_tensors(path, tensors)
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        back = load_tensors(path)
+    except InvalidInputError:
+        return
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float32 for a in back.values())
 
 
 def test_weight_bad_magic(tmp_path):
