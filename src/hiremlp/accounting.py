@@ -105,21 +105,15 @@ def _bottleneck_cost(mlp: BottleneckMlpParams, tokens: int, weights_only: bool) 
 def _hire_cost(
     hire: HireModuleParams, h_ext: int, w_ext: int, path: str, weights_only: bool
 ) -> list[CostEntry]:
-    entries = []
-    if hire.height is not None:
-        ph = padded_extent(h_ext, hire.height.region.region_size) if hire.height.use_inner else h_ext
-        tokens = (ph // hire.height.region.region_size if hire.height.use_inner else ph) * w_ext
-        p, f = _bottleneck_cost(hire.height.mlp, tokens, weights_only)
-        entries.append(CostEntry(f"{path}.height", p, f))
-    if hire.width is not None:
-        pw = padded_extent(w_ext, hire.width.region.region_size) if hire.width.use_inner else w_ext
-        tokens = h_ext * (pw // hire.width.region.region_size if hire.width.use_inner else pw)
-        p, f = _bottleneck_cost(hire.width.mlp, tokens, weights_only)
-        entries.append(CostEntry(f"{path}.width", p, f))
-    if hire.channel is not None:
-        p, f = _linear_cost(hire.channel, h_ext * w_ext, weights_only)
-        entries.append(CostEntry(f"{path}.channel", p, f))
-    return entries
+    # a branch MLP runs once per region: padded extent / region size along its axis
+    m_h, m_w = hire.height.region.region_size, hire.width.region.region_size
+    h_tokens = padded_extent(h_ext, m_h) // m_h * w_ext
+    w_tokens = h_ext * (padded_extent(w_ext, m_w) // m_w)
+    return [
+        CostEntry(f"{path}.height", *_bottleneck_cost(hire.height.mlp, h_tokens, weights_only)),
+        CostEntry(f"{path}.width", *_bottleneck_cost(hire.width.mlp, w_tokens, weights_only)),
+        CostEntry(f"{path}.channel", *_linear_cost(hire.channel, h_ext * w_ext, weights_only)),
+    ]
 
 
 def _embed_out(extent: int, stride: int) -> int:

@@ -6,8 +6,10 @@ Each spatial branch runs
 so its output shape always equals its input shape, divisible extent or
 not. Shift then pad runs as one gather, and crop then restore as another,
 composed from the rearrange index maps. The channel branch is a single
-FC. Component toggles reproduce the structural ablations (no cross
-restore, no cross at all, no inner, no channel branch).
+FC. Every module has all three branches, and every MLP activation is
+GELU. A branch without a shift (the unshifted blocks, and every block
+after `network.disable_cross`) skips both cross steps; that is the only
+structural variant.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .rearrange import (
     ShiftSpec,
     crop_pad,
     cross_index,
-    cross_rearrange,
-    cross_restore,
     cross_restore_index,
     inner_rearrange,
     inner_restore,
@@ -43,7 +43,6 @@ class BottleneckMlpParams:
 
     layers: list[T.LinearParams]
     norm: T.NormParams | None = None  # applied after the first projection
-    activation: str = "gelu"  # after every non-final projection
 
     def __post_init__(self):
         if not self.layers:
@@ -72,7 +71,7 @@ class BottleneckMlpParams:
 
 
 def bottleneck_mlp(v: T.ArrayLike, p: BottleneckMlpParams) -> T.ArrayLike:
-    """linear -> [norm] -> act -> ... -> linear on the last axis."""
+    """linear -> [norm] -> GELU -> ... -> linear on the last axis."""
     n = len(p.layers)
     out = v
     for i, layer in enumerate(p.layers):
@@ -80,7 +79,7 @@ def bottleneck_mlp(v: T.ArrayLike, p: BottleneckMlpParams) -> T.ArrayLike:
         if i < n - 1:
             if i == 0 and p.norm is not None:
                 out = T.apply_norm(out, p.norm)
-            out = T.activation(out, p.activation)
+            out = T.gelu(out)
     return out
 
 
@@ -91,8 +90,6 @@ class HireBranchConfig:
     region: RegionSpec
     mlp: BottleneckMlpParams
     shift: ShiftSpec | None = None  # absent on unshifted blocks
-    use_inner: bool = True  # False: skip inner rearrange/restore (mlp acts per token)
-    use_cross_restore: bool = True  # False: leave tokens shifted (ablation)
 
     @property
     def axis(self) -> str:
@@ -108,24 +105,22 @@ def _effective_shift(shift: ShiftSpec, extent: int) -> ShiftSpec:
 
 @functools.lru_cache(maxsize=256)
 def _branch_gathers(
-    extent: int, region: RegionSpec, shift: ShiftSpec | None, restore: bool
+    extent: int, region: RegionSpec, shift: ShiftSpec | None
 ) -> tuple[np.ndarray | None, int, np.ndarray | None]:
     """(gather in, padded extent, gather out) of a branch along an axis of `extent`.
 
     Gather in is the shift composed with a non-zero padding: position i of
     the padded axis reads x[shift[pad[i]]]; it is None with neither. Gather
     out reads the restored tokens straight from the padded axis, so it
-    crops as it restores; it is None when nothing is restored, and the
-    branch then only crops. The maps are cached, so they are read-only.
+    crops as it restores; it is None without a shift, and the branch then
+    only crops. The maps are cached, so they are read-only.
     """
     padded = padded_extent(extent, region.region_size)
     gather_in = None if shift is None else cross_index(extent, shift, region.region_size)
     if padded > extent and region.padding_mode != "zero":
         pad = pad_index(extent, 0, padded - extent, region.padding_mode)
         gather_in = pad if gather_in is None else gather_in[pad]
-    gather_out = None
-    if shift is not None and restore:
-        gather_out = cross_restore_index(extent, shift, region.region_size)
+    gather_out = None if shift is None else cross_restore_index(extent, shift, region.region_size)
     for idx in (gather_in, gather_out):
         if idx is not None:
             idx.setflags(write=False)
@@ -140,15 +135,7 @@ def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
         raise InvalidInputError("hire_branch: empty input")
     extent = xv.shape[ax]
     shift = None if cfg.shift is None else _effective_shift(cfg.shift, extent)
-    m = cfg.region.region_size
-    if not cfg.use_inner:
-        if shift is not None:
-            x = cross_rearrange(x, cfg.axis, shift, m)
-        y = bottleneck_mlp(x, cfg.mlp)
-        if shift is not None and cfg.use_cross_restore:
-            y = cross_restore(y, cfg.axis, shift, m)
-        return y
-    gather_in, padded, gather_out = _branch_gathers(extent, cfg.region, shift, cfg.use_cross_restore)
+    gather_in, padded, gather_out = _branch_gathers(extent, cfg.region, shift)
     if gather_in is not None:
         x = T.take(x, gather_in, ax)
     if cfg.region.padding_mode == "zero":
@@ -163,18 +150,18 @@ def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
 
 @dataclass
 class HireModuleParams:
-    """Three branches; disabled ones (None) contribute zero to the sum."""
+    """The three branches whose outputs the module sums."""
 
-    height: HireBranchConfig | None
-    width: HireBranchConfig | None
-    channel: T.LinearParams | None
+    height: HireBranchConfig
+    width: HireBranchConfig
+    channel: T.LinearParams
 
     def __post_init__(self):
-        if self.height is not None and self.height.axis != "height":
+        if self.height.axis != "height":
             raise ConfigError("HireModuleParams: height branch must act on the height axis")
-        if self.width is not None and self.width.axis != "width":
+        if self.width.axis != "width":
             raise ConfigError("HireModuleParams: width branch must act on the width axis")
-        if self.channel is not None and self.channel.in_dim != self.channel.out_dim:
+        if self.channel.in_dim != self.channel.out_dim:
             raise ConfigError(
                 f"HireModuleParams: channel FC must be square, got "
                 f"{self.channel.in_dim}x{self.channel.out_dim}"
@@ -182,20 +169,9 @@ class HireModuleParams:
 
 
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
-    """Sum of enabled branch outputs (width, height, then channel)."""
-    parts = []
-    if p.width is not None:
-        parts.append(hire_branch(x, p.width))
-    if p.height is not None:
-        parts.append(hire_branch(x, p.height))
-    if p.channel is not None:
-        parts.append(T.apply_linear(x, p.channel))
-    if not parts:
-        return np.zeros_like(T._value(x))
-    out = parts[0]
-    for part in parts[1:]:
-        out = T.add(out, part)
-    return out
+    """Sum of the branch outputs: (width + height) + channel."""
+    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
+    return T.add(spatial, T.apply_linear(x, p.channel))
 
 
 def bottleneck_widths(region_size: int, channels: int, n_layers: int) -> list[int]:

@@ -84,7 +84,9 @@ class ModelConfig:
         for i, st in enumerate(self.stages):
             if st.depth < 1:
                 problems.append(f"stage {i}: depth must be >= 1")
-            if st.channels < prev_c:
+            if st.channels < 1:
+                problems.append(f"stage {i}: channels must be >= 1, got {st.channels}")
+            elif st.channels < prev_c:
                 problems.append(f"stage {i}: channels must be nondecreasing")
             prev_c = st.channels
             if st.h < 1 or st.w < 1:
@@ -95,6 +97,9 @@ class ModelConfig:
                 problems.append(f"stage {i}: unknown padding '{st.padding}'")
             if st.manner not in ("shifted", "shuffle"):
                 problems.append(f"stage {i}: unknown manner '{st.manner}'")
+        for i, r in enumerate(self.expansion_ratio):
+            if r < 1:
+                problems.append(f"stage {i}: expansion_ratio must be >= 1, got {r}")
         for i, pe in enumerate(self.patch_embed):
             if pe.stride < 1:
                 problems.append(f"patch_embed {i}: stride must be >= 1")
@@ -236,11 +241,10 @@ def save_config(cfg: ModelConfig, path: str | Path) -> None:
 
 @dataclass
 class ChannelMlpParams:
-    """Per-token two-layer MLP with expansion (C -> r*C -> C)."""
+    """Per-token two-layer MLP with expansion (C -> r*C -> GELU -> C)."""
 
     fc1: T.LinearParams
     fc2: T.LinearParams
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.fc1.out_dim != self.fc2.in_dim or self.fc1.in_dim != self.fc2.out_dim:
@@ -285,7 +289,7 @@ class Model:
 
 def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
     y = T.apply_linear(x, p.fc1)
-    y = T.activation(y, p.activation)
+    y = T.gelu(y)
     return T.apply_linear(y, p.fc2)
 
 
@@ -496,7 +500,7 @@ def load_model_weights(model: Model, tensors: dict[str, np.ndarray]) -> None:
         src = tensors[name]
         if src.shape != arr.shape:
             raise ShapeError(f"weight '{name}': file {src.shape} vs model {arr.shape}")
-        arr[...] = src.astype(arr.dtype)
+        arr[...] = src
 
 
 def model_checksum(model: Model) -> str:

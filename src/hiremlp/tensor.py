@@ -54,12 +54,6 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __add__(self, other: "ArrayLike") -> "Var":
-        return add(self, other)
-
-    def __radd__(self, other: "ArrayLike") -> "Var":
-        return add(other, self)
-
     def __repr__(self) -> str:
         node = self.tape.nodes[self.idx]
         return f"Var(#{self.idx} {node.op} {node.value.shape})"
@@ -83,11 +77,9 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
 
-    def leaf(self, value: Array, name: str | None = None) -> Var:
+    def leaf(self, value: Array) -> Var:
         """Register an input/parameter array as a differentiable leaf."""
-        value = np.asarray(value)
-        self.nodes.append(_Node("leaf", value, (), {"name": name}))
-        return Var(self, len(self.nodes) - 1)
+        return self._record("leaf", np.asarray(value), (), {})
 
     def _record(self, op: str, value: Array, parents: tuple[int | None, ...], ctx: dict) -> Var:
         self.nodes.append(_Node(op, value, parents, ctx))
@@ -329,14 +321,6 @@ def _adj_gelu(node: _Node, g: Array):
     xv = node.ctx["x"]
     pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT2PI
     return [(0, g * (node.ctx["cdf"] + xv * pdf))]
-
-
-def activation(x: ArrayLike, kind: str) -> ArrayLike:
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "relu":
-        return relu(x)
-    raise ConfigError(f"unknown activation kind '{kind}'")
 
 
 def batch_norm(
@@ -686,7 +670,7 @@ def map_arrays(obj, fn: Callable[[Array], ArrayLike]):
     return map_tree(obj, visit)
 
 
-def iter_arrays(obj, prefix: str = "") -> list[tuple[str, Array]]:
+def iter_arrays(obj) -> list[tuple[str, Array]]:
     """(dotted_path, array) for every array (a Var's value) in a parameter tree."""
     found = []
 
@@ -695,7 +679,7 @@ def iter_arrays(obj, prefix: str = "") -> list[tuple[str, Array]]:
             found.append((path, _value(node)))
         return node
 
-    map_tree(obj, visit, prefix)
+    map_tree(obj, visit)
     return found
 
 

@@ -41,9 +41,10 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a container written by save_tensors; returns float32 arrays.
 
-    Every header field is checked against the bytes that remain before
-    anything is sliced or allocated, so a damaged file raises
-    InvalidInputError naming the path and the byte offset.
+    The file is read once, and every array is a read-only view into that
+    one buffer; nothing is copied. Every header field is checked against
+    the bytes that remain before anything is sliced, so a damaged file
+    raises InvalidInputError naming the path and the byte offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -88,7 +89,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         off += 8 * rank
         n = math.prod(dims)
         need(off, 4 * n, f"data of {name!r} {dims}")
-        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims).copy()
+        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
         off += 4 * n
     if off != size:
         raise InvalidInputError(f"{path}: byte {off}: {size - off} trailing bytes")

@@ -128,7 +128,7 @@ def reference_bottleneck(v: np.ndarray, p) -> np.ndarray:
         if i < len(p.layers) - 1:
             if i == 0 and p.norm is not None:
                 v = explicit_batch_norm(v, p.norm)
-            v = np.asarray(T.activation(v, p.activation))
+            v = np.asarray(T.gelu(v))
     return v
 
 
@@ -157,6 +157,6 @@ def reference_forward(model, x: np.ndarray) -> np.ndarray:
             y = y + reference_linear(u, hire.channel)
             v = explicit_batch_norm(y, b.norm2)
             mlp = b.channel_mlp
-            hidden = np.asarray(T.activation(reference_linear(v, mlp.fc1), mlp.activation))
+            hidden = np.asarray(T.gelu(reference_linear(v, mlp.fc1)))
             x = y + reference_linear(hidden, mlp.fc2)
     return reference_linear(x.mean(axis=(1, 2)), model.head)

@@ -12,21 +12,14 @@ import numpy as np
 from hiremlp.accounting import ablation_cost_sweep, count_config
 from hiremlp.invariants import (
     GRAD_TOLERANCE,
+    block_gradcheck,
     check_closed_form_reconciliation,
     check_translation_equivariance,
-    input_grad_error,
     model_gradcheck,
     preserves_cyclic_order,
     token_permutation,
 )
-from hiremlp.network import (
-    build_model,
-    cast_model,
-    disable_cross,
-    forward,
-    hire_block,
-    set_norm_mode,
-)
+from hiremlp.network import build_model, disable_cross, forward
 from hiremlp.rearrange import (
     PADDING_MODES,
     RegionSpec,
@@ -171,15 +164,12 @@ def test_criterion_4_fc_sweep():
 
 def test_criterion_5_gradient_correctness():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(3)
 
-    # full block at 1x4x4x8, float64, batch statistics
-    model = set_norm_mode(cast_model(build_model(micro_config(), seed=2), np.float64), "batch")
-    block = model.stages[0].blocks[0]  # C=8, regions 2x2, shift present (phase 0)
-    x0 = rng.standard_normal((1, 4, 4, 8))
-    block_err = input_grad_error(hire_block, x0, block)
+    # unit-gain stage-3 micro block at 1x5x5x16 and its two residual-free
+    # sub-units, float64, batch statistics
+    block_err = max(block_gradcheck(seed=3).values())
 
-    # full tiny model, 1x32x32x3 input, 2-class head, 100-coordinate sample
+    # full micro model, 1x32x32x3 input, 2-class head, 100-coordinate sample
     worst = model_gradcheck(seed=0, coords=100)
     model_err = max(worst.values())
 
@@ -188,7 +178,7 @@ def test_criterion_5_gradient_correctness():
     report(
         5,
         ok,
-        f"block max rel err {block_err:.2e}, model max rel err {model_err:.2e} "
+        f"block and sub-unit max rel err {block_err:.2e}, model max rel err {model_err:.2e} "
         f"(100-coordinate sample incl. parameters), {elapsed:.1f}s (< 60s)",
     )
 

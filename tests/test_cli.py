@@ -1,5 +1,8 @@
 """cli: exit codes, determinism, JSON output, error paths."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiremlp.cli import main
 from hiremlp.errors import ConfigError
@@ -151,6 +156,51 @@ def test_config_type_error_exits_2_naming_file_and_field(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: stages[2].channels: expected an integer, got a string\n"
+
+
+def _json_paths(node, path=()):
+    """The path of every object member and array entry below a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+MICRO_JSON = json.loads((CONFIGS / "micro.json").read_text())
+MISSING, AS_FLOAT = object(), object()  # delete the field; the field's value as a float
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path=st.sampled_from(list(_json_paths(MICRO_JSON))),
+    value=st.sampled_from([-1, 0, AS_FLOAT, float("nan"), MISSING, "x", True, None, [], {}]),
+)
+@example(path=("expansion_ratio", 0), value=-1)
+@example(path=("stages", 0, "channels"), value=0)
+def test_summary_of_a_mutated_config_exits_0_or_2_with_one_line(tmp_path_factory, path, value):
+    doc = copy.deepcopy(MICRO_JSON)
+    *parents, key = path
+    holder = doc
+    for k in parents:
+        holder = holder[k]
+    if value is MISSING:
+        del holder[key]
+    elif value is AS_FLOAT:
+        holder[key] = float(holder[key]) if type(holder[key]) is int else 2.0
+    else:
+        holder[key] = value
+    cfg = tmp_path_factory.mktemp("cfg") / "mutated.json"
+    cfg.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["summary", "--config", str(cfg)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
 
 
 def test_forward_without_input_exits_2(capsys, micro_cfg_path):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from hiremlp import tensor as T
 from hiremlp.accounting import count_config, count_model
 from hiremlp.errors import ConfigError, InvalidInputError
-from hiremlp.hire import hire_module
 from hiremlp.invariants import (
     GRAD_TOLERANCE,
+    block_gradcheck,
     check_translation_equivariance,
-    input_grad_error,
     rel_error,
 )
 from hiremlp.network import (
@@ -24,7 +23,6 @@ from hiremlp.network import (
     PatchEmbedSpec,
     assemble_model,
     build_model,
-    cast_model,
     channel_mlp,
     config_from_dict,
     config_to_dict,
@@ -43,7 +41,7 @@ from hiremlp.network import (
 from hiremlp.variants import micro_config, small_config, tiny_config
 from hiremlp.weights import load_tensors, save_tensors
 
-from oracles import per_token_mlp, reference_forward
+from oracles import erf_gelu, per_token_mlp, reference_forward
 
 
 def micro_model(seed=0, **kw):
@@ -78,12 +76,10 @@ def test_channel_mlp_matches_per_token_oracle(rng):
     c = 3
     w1, b1 = rng.standard_normal((c, 2 * c)), rng.standard_normal(2 * c)
     w2, b2 = rng.standard_normal((2 * c, c)), rng.standard_normal(c)
-    p = ChannelMlpParams(
-        fc1=T.LinearParams(w1, b1), fc2=T.LinearParams(w2, b2), activation="relu"
-    )
+    p = ChannelMlpParams(fc1=T.LinearParams(w1, b1), fc2=T.LinearParams(w2, b2))
     x = rng.standard_normal((1, 2, 3, c))
     got = np.asarray(channel_mlp(x, p))
-    want = per_token_mlp(x, w1, b1, w2, b2, lambda v: np.maximum(v, 0))
+    want = per_token_mlp(x, w1, b1, w2, b2, np.vectorize(erf_gelu))
     assert rel_error(got, want) < 1e-6
 
 
@@ -120,22 +116,11 @@ def test_block_shape_contract(rng):
     assert np.asarray(hire_block(x, block)).shape == (1, 14, 14, 64)
 
 
-def test_block_gradient_matches_fd(rng):
-    # unit-gain weights keep the branch adjoints O(1), so a 0.1% error in one
-    # of them lands above GRAD_TOLERANCE
-    w = np.random.default_rng(2)
-    model = assemble_model(micro_config(), lambda shape: w.standard_normal(shape) / np.sqrt(shape[0]))
-    block = set_norm_mode(cast_model(model, np.float64), "batch").stages[2].blocks[0]
-    x0 = rng.standard_normal((1, 5, 5, 16))  # C=16, regions 2x2 on 5 tokens: every branch pads
-    assert input_grad_error(hire_block, x0, block) < GRAD_TOLERANCE
-    # the residual's unit gradient swamps the block's own gradient, so each
-    # residual-free sub-unit is checked apart as well
-    sub_units = (
-        lambda x, p: hire_module(T.apply_norm(x, p.norm1), p.hire),
-        lambda x, p: channel_mlp(T.apply_norm(x, p.norm2), p.channel_mlp),
-    )
-    for fn in sub_units:
-        assert input_grad_error(fn, x0, block) < GRAD_TOLERANCE
+def test_block_gradient_matches_fd():
+    errors = block_gradcheck(seed=1234)
+    assert set(errors) == {"block", "hire", "channel_mlp"}
+    for unit, err in errors.items():
+        assert err < GRAD_TOLERANCE, unit
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +324,25 @@ def test_config_type_error_names_file_and_json_path(tmp_path, edit, where, messa
     with pytest.raises(ConfigError) as e:
         load_config(path)
     assert str(e.value) == f"{path}: {where}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [s.update(channels=0) for s in d["stages"]], "stage 0: channels must be >= 1, got 0"),
+        (lambda d: d["stages"][1].update(channels=-3), "stage 1: channels must be >= 1, got -3"),
+        (lambda d: d.update(expansion_ratio=-1), "stage 0: expansion_ratio must be >= 1, got -1"),
+        (lambda d: d.update(expansion_ratio=[2, 0, 2, 2]), "stage 1: expansion_ratio must be >= 1, got 0"),
+    ],
+    ids=["all-channels-0", "channels-negative", "ratio-scalar-negative", "ratio-entry-0"],
+)
+def test_config_rejects_sizes_below_one(edit, message):
+    d = config_to_dict(micro_config())
+    edit(d)
+    with pytest.raises(ConfigError) as e:
+        config_from_dict(d)
+    assert message in str(e.value)
+    assert "nondecreasing" not in str(e.value)
 
 
 def test_config_scalar_expansion_ratio():

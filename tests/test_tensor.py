@@ -193,11 +193,6 @@ def test_gelu_float64_matches_libm_erf():
     assert np.abs(got - _libm_gelu(x)).max() <= 1e-15
 
 
-def test_activation_dispatch():
-    with pytest.raises(ConfigError):
-        T.activation(np.zeros(2), "tanh")
-
-
 # ---------------------------------------------------------------------------
 # tape / backward
 # ---------------------------------------------------------------------------
@@ -356,6 +351,27 @@ def test_weight_roundtrip(tmp_path, rng):
     assert set(back) == set(tensors)
     for k in tensors:
         np.testing.assert_array_equal(back[k], tensors[k])
+
+
+def test_weight_load_returns_read_only_views_of_one_buffer(tmp_path, rng):
+    tensors = {
+        "w": rng.standard_normal((3, 5)).astype(np.float32),
+        "odd": rng.standard_normal(3).astype(np.float32),  # its 3-byte name leaves this payload unaligned
+        "b": rng.standard_normal(7).astype(np.float32),
+    }
+    path = tmp_path / "w.hire"
+    save_tensors(path, tensors)
+    back = load_tensors(path)
+    owners = set()
+    for name, arr in back.items():
+        assert arr.dtype == np.float32 and not arr.flags.writeable, name
+        assert arr.tobytes() == tensors[name].tobytes(), name
+        with pytest.raises(ValueError):
+            arr[...] = 0
+        while isinstance(arr, np.ndarray):
+            arr = arr.base
+        owners.add(id(arr))
+    assert len(owners) == 1 and isinstance(arr, bytes)  # every array views the one buffer read
 
 
 def test_weight_header_layout(tmp_path):
