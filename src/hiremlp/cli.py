@@ -352,7 +352,9 @@ def cmd_bench(args) -> int:
     if args.iters < BENCH_WARMUP + 1:
         raise UsageError(f"--iters must be >= {BENCH_WARMUP + 1} (5 warmup + 1 measured)")
     cfg = load_config(_regular_file(args.config, "config"))
+    t0 = time.perf_counter()
     model = build_model(cfg, seed=args.seed)
+    build_s = time.perf_counter() - t0
     h, w = _parse_hwc(args.hw, 2)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.batch, h, w, 3)).astype(np.float32)
@@ -374,6 +376,7 @@ def cmd_bench(args) -> int:
         "images_per_s": args.batch / med,
         "ms_per_image": 1000.0 * med / args.batch,
         "checksum": checksum,
+        "build_s": build_s,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -392,15 +395,25 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1, else exit 2 with usage."""
+def _int_at_least(text: str, low: int, expected: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0  # rejected below, with the same message as a non-positive count
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+        value = low - 1  # rejected below, with the same message as an out-of-range value
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1, else exit 2 with usage."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0, as numpy's default_rng
+    requires, else exit 2 with usage."""
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--input", default=None, help="raw tensor file (single unnamed tensor)")
     p.add_argument("--random", default=None, metavar="HxWxC")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_forward)
@@ -429,19 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="run registered property suites")
     p.add_argument("--scope", default="all", choices=["all", "tensor", "rearrange", "hire", "network", "accounting"])
     p.add_argument("--seeds", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("gradcheck", help="reverse-mode vs finite differences (64-bit)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--coords", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="structural/cost ablation comparisons")
     p.add_argument("kind", choices=["padding", "manner", "shift", "fc"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ablate)
 
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", default="224x224")
     p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
 

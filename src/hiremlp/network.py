@@ -390,15 +390,34 @@ def forward(model: Model, image: T.ArrayLike) -> T.ArrayLike:
 # ---------------------------------------------------------------------------
 
 
+TRUNC_NORMAL_BLOCK = 1 << 15  # float64 draws per block: 256 KiB, cache-sized
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """float32 Normal(0, std) resampled to +/- 2 std."""
-    out = rng.standard_normal(shape) * std
+    """float32 Normal(0, std) resampled to +/- 2 std.
+
+    The first pass draws the whole array in flat order, one block at a time,
+    and records where |value| > 2 std; each later round redraws only those
+    positions, in flat order. The generator is consumed exactly as by one
+    whole-array draw followed by masked redraws, so every value is
+    bit-identical to that plain form, with no float64 copy of the weight."""
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
     bound = 2.0 * std
-    mask = np.abs(out) > bound
-    while mask.any():
-        out[mask] = rng.standard_normal(int(mask.sum())) * std
-        mask = np.abs(out) > bound
-    return out.astype(np.float32)
+    buf = np.empty(min(TRUNC_NORMAL_BLOCK, flat.size), dtype=np.float64)
+    outside = []
+    for start in range(0, flat.size, TRUNC_NORMAL_BLOCK):
+        block = buf[: min(TRUNC_NORMAL_BLOCK, flat.size - start)]
+        rng.standard_normal(out=block)
+        block *= std
+        outside.append(np.flatnonzero(np.abs(block) > bound) + start)
+        flat[start : start + block.size] = block
+    idx = np.concatenate(outside) if outside else np.empty(0, dtype=np.intp)
+    while idx.size:
+        values = rng.standard_normal(idx.size) * std
+        flat[idx] = values
+        idx = idx[np.abs(values) > bound]
+    return out
 
 
 def _init_linear(weight, in_dim: int, out_dim: int) -> T.LinearParams:

@@ -160,3 +160,15 @@ def reference_forward(model, x: np.ndarray) -> np.ndarray:
             hidden = np.asarray(T.gelu(reference_linear(v, mlp.fc1)))
             x = y + reference_linear(hidden, mlp.fc2)
     return reference_linear(x.mean(axis=(1, 2)), model.head)
+
+
+def reference_trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """Whole-array truncated normal: one float64 draw of the full shape, then
+    masked redraws of every |value| > 2 std until none is left, then a cast."""
+    out = rng.standard_normal(shape) * std
+    bound = 2.0 * std
+    mask = np.abs(out) > bound
+    while mask.any():
+        out[mask] = rng.standard_normal(int(mask.sum())) * std
+        mask = np.abs(out) > bound
+    return out.astype(np.float32)

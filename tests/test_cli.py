@@ -292,6 +292,16 @@ def test_bench_smoke(capsys, micro_cfg_path):
     assert "images/s" in out
 
 
+def test_bench_json_reports_build_time(capsys, micro_cfg_path):
+    code, out, _ = run(
+        capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "6", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-1] == "build_s"
+    assert 0 < payload["build_s"] < 60
+
+
 def test_bench_zero_iters_exits_2(capsys, micro_cfg_path):
     code, _, err = run(capsys, "bench", "--config", micro_cfg_path, "--iters", "0")
     assert code == 2
@@ -322,6 +332,31 @@ def test_nonpositive_count_exits_2(capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {flag}: expected a positive integer, got '{value}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("forward", "--config", str(CONFIGS / "micro.json"), "--random", "32x32x3"),
+        ("gradcheck",),
+        ("invariants",),
+        ("bench", "--config", str(CONFIGS / "micro.json"), "--iters", "6"),
+        ("ablate", "shift"),
+    ],
+    ids=["forward", "gradcheck", "invariants", "bench", "ablate"],
+)
+def test_negative_seed_exits_2_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--seed", "-1"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hiremlp ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"hiremlp {argv[0]}: error: argument --seed: expected a non-negative integer, got '-1'"
+    ]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])

@@ -1,7 +1,12 @@
 """network: blocks, patch embedding, full pyramid, config I/O, builder."""
 
+import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hiremlp.invariants import (
     rel_error,
 )
 from hiremlp.network import (
+    TRUNC_NORMAL_BLOCK,
     ChannelMlpParams,
     PatchEmbedParams,
     PatchEmbedSpec,
@@ -37,11 +43,12 @@ from hiremlp.network import (
     patch_embed,
     save_config,
     set_norm_mode,
+    trunc_normal,
 )
 from hiremlp.variants import micro_config, small_config, tiny_config
 from hiremlp.weights import load_tensors, save_tensors
 
-from oracles import erf_gelu, per_token_mlp, reference_forward
+from oracles import erf_gelu, per_token_mlp, reference_forward, reference_trunc_normal
 
 
 def micro_model(seed=0, **kw):
@@ -223,6 +230,36 @@ def test_forward_undersized_rejected(rng):
         forward(model, rng.standard_normal((1, 16, 16, 3)).astype(np.float32))
 
 
+FAULTS_PER_FORWARD = """
+import resource
+import numpy as np
+from hiremlp.network import assemble_model, forward
+from hiremlp.variants import tiny_config
+model = assemble_model(tiny_config(), lambda shape: np.zeros(shape, dtype=np.float32))
+x = np.zeros((1, 224, 224, 3), dtype=np.float32)
+forward(model, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    forward(model, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"), reason="glibc malloc only"
+)
+def test_repeated_forward_reuses_freed_memory():
+    # a fresh process that has freed no large block: without the allocator
+    # limits set on import, every tiny 224x224 call re-faulted about 3.5K pages
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_FORWARD],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
+
+
 def test_forward_batch_determinism(rng):
     # identical rows in, identical logits out (running-statistics norms)
     model = micro_model()
@@ -259,6 +296,55 @@ def test_stage_resolutions_are_ceil_divisions(rng):
 def test_build_same_seed_identical():
     assert model_checksum(micro_model(seed=5)) == model_checksum(micro_model(seed=5))
     assert model_checksum(micro_model(seed=5)) != model_checksum(micro_model(seed=6))
+
+
+B = TRUNC_NORMAL_BLOCK
+
+
+@pytest.mark.parametrize("std", [0.02, 1.0])
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 5), (1,), (37, 41), (B,), (128, B // 128), (2, B), (3, B + 5), (7 * B // 3,)],
+    ids=["empty", "one", "below", "flat-block", "block", "two-blocks", "above", "non-multiple"],
+)
+def test_trunc_normal_bitwise_equals_whole_array_reference(shape, std):
+    for seed in (0, 1, 7, 2024):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = trunc_normal(rng, shape, std=std)
+        want = reference_trunc_normal(ref_rng, shape, std=std)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), seed
+        # the next FC's draws continue from the same point of the stream
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.lists(st.integers(0, 60), min_size=1, max_size=3).map(tuple),
+        st.integers(B - 2, 2 * B + 2).map(lambda n: (n,)),
+    ),
+    std=st.floats(min_value=0.0, max_value=1e30, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trunc_normal_is_float32_of_shape_within_two_std(shape, std, seed):
+    w = trunc_normal(np.random.default_rng(seed), shape, std=std)
+    assert w.dtype == np.float32 and w.shape == shape
+    # rounding to float32 is monotone, so |v| <= 2 std in float64 gives this
+    assert np.all(np.abs(w) <= np.float32(2.0 * std))
+
+
+@pytest.mark.parametrize(
+    "make_config, seed, digest",
+    [
+        (micro_config, 0, "a3616ad02d92574862482bf6c8c27b79fb10dafccf0e24a56113182855b8f856"),
+        (micro_config, 7, "d75d29c2244abc9d414d1c399185b106d38b02c921ecbe6edb585873ec99987a"),
+        (tiny_config, 0, "768a10ec6b1235513d6c4a123cb3826eced72cbf7e2c3086dacbbf757497ae24"),
+    ],
+    ids=["micro-0", "micro-7", "tiny-0"],
+)
+def test_seeded_build_checksum_is_pinned(make_config, seed, digest):
+    assert model_checksum(build_model(make_config(), seed=seed)) == digest
 
 
 def test_build_small_depths():
