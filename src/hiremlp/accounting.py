@@ -23,6 +23,7 @@ from .errors import ConfigError
 from .hire import BottleneckMlpParams, HireModuleParams
 from .network import Model, ModelConfig, assemble_model
 from .rearrange import padded_extent
+from .variants import FC_SWEEP_REFERENCE
 
 
 @dataclass
@@ -85,10 +86,7 @@ def _norm_params(norm: T.NormParams, weights_only: bool) -> int:
 
 def _linear_cost(p: T.LinearParams, tokens: int, weights_only: bool) -> tuple[int, int]:
     w = T._value(p.weight)
-    params = w.size
-    if not weights_only and p.bias is not None:
-        params += T._value(p.bias).size
-    return params, tokens * w.shape[0] * w.shape[1]
+    return w.size + (0 if weights_only else T._value(p.bias).size), tokens * w.size
 
 
 def _bottleneck_cost(mlp: BottleneckMlpParams, tokens: int, weights_only: bool) -> tuple[int, int]:
@@ -166,11 +164,10 @@ def count_config(
     return count_model(model, height, width, weights_only)
 
 
-def ablation_cost_sweep(
-    base_config: ModelConfig, fc_counts=(1, 2, 3, 4), height: int = 224, width: int = 224
-) -> list[tuple[int, CostReport]]:
-    """Cost reports for the bottleneck-depth variants of one base config."""
+def ablation_cost_sweep(base_config: ModelConfig) -> list[tuple[int, CostReport]]:
+    """Cost reports at 224x224 of the 1- to 4-FC bottleneck variants of one
+    base config, the depths of the published sweep (FC_SWEEP_REFERENCE)."""
     return [
-        (n, count_config(replace(base_config, bottleneck_fcs=n), height, width))
-        for n in fc_counts
+        (n, count_config(replace(base_config, bottleneck_fcs=n), 224, 224))
+        for n in FC_SWEEP_REFERENCE
     ]

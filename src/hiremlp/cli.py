@@ -101,10 +101,7 @@ def cmd_summary(args) -> int:
         return 0
     print(f"config: {payload['name']}  (input {h}x{w})")
     print(f"{'stage':>5}  {'depth':>5}  {'channels':>8}  {'region h/w':>10}  {'step':>4}  {'padding':>9}  {'params':>10}  {'flops':>10}")
-    hh, ww = h, w
     for i, st in enumerate(cfg.stages):
-        pe = cfg.patch_embed[i]
-        hh, ww = -(-hh // pe.stride), -(-ww // pe.stride)
         sp, sf = report.subtotal(f"stage{i + 1}.")
         print(
             f"{i + 1:>5}  {st.depth:>5}  {st.channels:>8}  {f'{st.h}/{st.w}':>10}  "
@@ -214,14 +211,13 @@ def _ablate_padding(args, out: dict) -> bool:
     x = rng.standard_normal((1, 7, 7, 4)).astype(np.float32)
     rows, ok = [], True
     for mode in PADDING_MODES:
-        spec = RegionSpec("height", 3, mode)
-        xp, rec = partition_pad(x, spec)
-        identity = bool(np.array_equal(crop_pad(xp, rec), x))
+        xp = partition_pad(x, RegionSpec("height", 3, mode))
+        identity = bool(np.array_equal(crop_pad(xp, "height", 7), x))
         ok &= identity
         rows.append(
             {
                 "mode": mode,
-                "padded_extent": rec.padded,
+                "padded_extent": np.asarray(xp).shape[1],
                 "crop_identity": identity,
                 "checksum": float(np.asarray(xp).sum()),
             }
@@ -349,8 +345,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.iters < BENCH_WARMUP + 1:
-        raise UsageError(f"--iters must be >= {BENCH_WARMUP + 1} (5 warmup + 1 measured)")
     cfg = load_config(_regular_file(args.config, "config"))
     t0 = time.perf_counter()
     model = build_model(cfg, seed=args.seed)
@@ -462,7 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--hw", default="224x224")
     p.add_argument("--batch", type=_positive_int, default=1)
-    p.add_argument("--iters", type=int, default=10)
+    # the warm-up calls and at least one measured call
+    p.add_argument(
+        "--iters", default=10,
+        type=lambda text: _int_at_least(text, BENCH_WARMUP + 1, f"an integer >= {BENCH_WARMUP + 1}"),
+    )
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

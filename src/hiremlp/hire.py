@@ -23,7 +23,6 @@ from . import tensor as T
 from .errors import ConfigError, InvalidInputError
 from .rearrange import (
     AXIS_INDEX,
-    PadRecord,
     RegionSpec,
     ShiftSpec,
     crop_pad,
@@ -96,13 +95,6 @@ class HireBranchConfig:
         return self.region.axis
 
 
-def _effective_shift(shift: ShiftSpec, extent: int) -> ShiftSpec:
-    # a full cycle is the identity; reduce so any extent >= 1 is valid
-    if shift.manner == "shifted" and shift.step >= extent:
-        return ShiftSpec(shift.step % extent, shift.manner)
-    return shift
-
-
 @functools.lru_cache(maxsize=256)
 def _branch_gathers(
     extent: int, region: RegionSpec, shift: ShiftSpec | None
@@ -134,8 +126,7 @@ def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
     if xv.size == 0:
         raise InvalidInputError("hire_branch: empty input")
     extent = xv.shape[ax]
-    shift = None if cfg.shift is None else _effective_shift(cfg.shift, extent)
-    gather_in, padded, gather_out = _branch_gathers(extent, cfg.region, shift)
+    gather_in, padded, gather_out = _branch_gathers(extent, cfg.region, cfg.shift)
     if gather_in is not None:
         x = T.take(x, gather_in, ax)
     if cfg.region.padding_mode == "zero":
@@ -145,7 +136,7 @@ def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
     y = inner_restore(y, cfg.region)
     if gather_out is not None:
         return T.take(y, gather_out, ax)
-    return crop_pad(y, PadRecord(extent, padded, cfg.axis))
+    return crop_pad(y, cfg.axis, extent)
 
 
 @dataclass

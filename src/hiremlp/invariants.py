@@ -21,7 +21,6 @@ from .hire import (
     BottleneckMlpParams,
     HireBranchConfig,
     HireModuleParams,
-    _effective_shift,
     bottleneck_mlp,
     hire_branch,
     hire_module,
@@ -49,6 +48,7 @@ from .rearrange import (
     crop_pad,
     inner_rearrange,
     inner_restore,
+    padded_extent,
     partition_pad,
 )
 from .variants import micro_config
@@ -86,9 +86,9 @@ def check_inner_roundtrip(seeds: int, rng) -> tuple[bool, str]:
         if mode == "reflect" and extent == 1 and extent % m:
             mode = "circular"
         spec = RegionSpec(axis, m, mode)
-        xp, rec = partition_pad(x, spec)
+        xp = partition_pad(x, spec)
         y = inner_rearrange(xp, spec)
-        back = crop_pad(inner_restore(y, spec), rec)
+        back = crop_pad(inner_restore(y, spec), axis, extent)
         if not np.array_equal(back, x):
             return False, f"inner roundtrip differs (axis={axis} m={m} mode={mode})"
         if not np.array_equal(np.sort(y, axis=None), np.sort(np.asarray(xp), axis=None)):
@@ -180,10 +180,10 @@ def check_pad_crop_identity(seeds: int, rng) -> tuple[bool, str]:
         for mode in PADDING_MODES:
             if mode == "reflect" and extent == 1 and extent % m:
                 continue
-            xp, rec = partition_pad(x, RegionSpec(axis, m, mode))
-            if np.asarray(xp).shape[1 if axis == "height" else 2] != rec.padded:
+            xp = partition_pad(x, RegionSpec(axis, m, mode))
+            if np.asarray(xp).shape[1 if axis == "height" else 2] != padded_extent(extent, m):
                 return False, f"padded extent mismatch ({mode})"
-            if not np.array_equal(crop_pad(xp, rec), x):
+            if not np.array_equal(crop_pad(xp, axis, extent), x):
                 return False, f"pad/crop not identity ({mode})"
     return True, f"{seeds} draws x 4 modes"
 
@@ -331,7 +331,7 @@ def block_gradcheck(seed: int = 0) -> dict[str, float]:
     return {name: input_grad_error(fn, x0, block) for name, fn in units.items()}
 
 
-def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = FD_EPS) -> dict[str, float]:
+def model_gradcheck(seed: int = 0, coords: int = 100) -> dict[str, float]:
     """Full micro-model reverse mode vs central differences at 64-bit.
 
     Samples `coords` coordinates uniformly across the input and every
@@ -367,7 +367,7 @@ def model_gradcheck(seed: int = 0, coords: int = 100, eps: float = FD_EPS) -> di
         group = "input" if slot == 0 else "params"
         ad.setdefault(group, []).append(float(grads.wrt(leaves[slot]).reshape(-1)[local]))
         fd.setdefault(group, []).append(
-            T.finite_difference_grad(loss, leaves[slot].value, eps, [local])[0]
+            T.finite_difference_grad(loss, leaves[slot].value, FD_EPS, [local])[0]
         )
     return {g: rel_error(np.array(ad[g]), np.array(fd[g])) for g in ad}
 
@@ -384,8 +384,7 @@ def check_no_mutation(seeds: int, rng) -> tuple[bool, str]:
         T.relu(x)
         T.apply_norm(x, T.identity_norm(x.shape[-1], dtype=np.float64, mode="batch"))
         spec = RegionSpec("height", 2, "circular")
-        xp, rec = partition_pad(x, spec)
-        inner_restore(inner_rearrange(xp, spec), spec)
+        inner_restore(inner_rearrange(partition_pad(x, spec), spec), spec)
         cross_rearrange(x, "width", ShiftSpec(1 % x.shape[2]))
         if x.tobytes() != before or w.tobytes() != wb:
             return False, "input bytes changed"
@@ -484,13 +483,12 @@ def sequential_branch(x: T.ArrayLike, cfg: HireBranchConfig, mlp: Callable = bot
     the reference for its composed gathers. mlp(v, cfg.mlp) stands in for
     the bottleneck MLP."""
     extent = T._value(x).shape[AXIS_INDEX[cfg.axis]]
-    shift = None if cfg.shift is None else _effective_shift(cfg.shift, extent)
-    m = cfg.region.region_size
+    shift, m = cfg.shift, cfg.region.region_size
     if shift is not None:
         x = cross_rearrange(x, cfg.axis, shift, m)
-    x, rec = partition_pad(x, cfg.region)
+    x = partition_pad(x, cfg.region)
     y = inner_restore(mlp(inner_rearrange(x, cfg.region), cfg.mlp), cfg.region)
-    y = crop_pad(y, rec)
+    y = crop_pad(y, cfg.axis, extent)
     if shift is not None:
         y = cross_restore(y, cfg.axis, shift, m)
     return y
@@ -549,7 +547,7 @@ def check_resolution_flexibility(seeds: int, rng) -> tuple[bool, str]:
         h = int(rng.integers(32, 97))
         w = int(rng.integers(32, 97))
         out = np.asarray(forward(model, rng.standard_normal((1, h, w, 3)).astype(np.float32)))
-        if out.shape != (1, model.config.num_classes):
+        if out.shape != (1, model.head.out_dim):
             return False, f"logits shape {out.shape} at {h}x{w}"
         if not np.isfinite(out).all():
             return False, f"non-finite logits at {h}x{w}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -113,9 +112,6 @@ class ModelConfig:
             problems.append("shift_phase must be 0 or 1")
         if problems:
             raise ConfigError("invalid model config: " + "; ".join(problems))
-
-    def total_stride(self) -> int:
-        return math.prod(pe.stride for pe in self.patch_embed)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
@@ -277,7 +273,6 @@ class StageParams:
 
 @dataclass
 class Model:
-    config: ModelConfig
     stages: list[StageParams]
     head: T.LinearParams
 
@@ -351,14 +346,10 @@ def stage_forward(x: T.ArrayLike, stage: StageParams) -> T.ArrayLike:
 def forward_features(model: Model, image: T.ArrayLike) -> list[T.ArrayLike]:
     """Run all stages; returns each stage's output feature map."""
     xv = T._value(image)
-    if xv.ndim != 4 or xv.shape[-1] != model.stages[0].embed.proj.in_dim // (
-        model.config.patch_embed[0].kernel ** 2
-    ):
-        raise ShapeError(
-            f"forward: expected NHWC input with "
-            f"{model.stages[0].embed.proj.in_dim // model.config.patch_embed[0].kernel ** 2} "
-            f"channels, got {xv.shape}"
-        )
+    embed = model.stages[0].embed
+    channels = embed.proj.in_dim // embed.spec.kernel ** 2
+    if xv.ndim != 4 or xv.shape[-1] != channels:
+        raise ShapeError(f"forward: expected NHWC input with {channels} channels, got {xv.shape}")
     if xv.shape[1] < MIN_INPUT or xv.shape[2] < MIN_INPUT:
         raise InvalidInputError(
             f"forward: input {xv.shape[1]}x{xv.shape[2]} is smaller than "
@@ -391,40 +382,42 @@ def forward(model: Model, image: T.ArrayLike) -> T.ArrayLike:
 
 
 TRUNC_NORMAL_BLOCK = 1 << 15  # float64 draws per block: 256 KiB, cache-sized
+INIT_STD = 0.02  # standard deviation of every initial FC weight
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """float32 Normal(0, std) resampled to +/- 2 std.
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """float32 Normal(0, INIT_STD) resampled to +/- 2 INIT_STD.
 
     The first pass draws the whole array in flat order, one block at a time,
-    and records where |value| > 2 std; each later round redraws only those
+    and records where |value| > 2 INIT_STD; each later round redraws only those
     positions, in flat order. The generator is consumed exactly as by one
     whole-array draw followed by masked redraws, so every value is
     bit-identical to that plain form, with no float64 copy of the weight."""
     out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
-    bound = 2.0 * std
+    bound = 2.0 * INIT_STD
     buf = np.empty(min(TRUNC_NORMAL_BLOCK, flat.size), dtype=np.float64)
     outside = []
     for start in range(0, flat.size, TRUNC_NORMAL_BLOCK):
         block = buf[: min(TRUNC_NORMAL_BLOCK, flat.size - start)]
         rng.standard_normal(out=block)
-        block *= std
+        block *= INIT_STD
         outside.append(np.flatnonzero(np.abs(block) > bound) + start)
         flat[start : start + block.size] = block
     idx = np.concatenate(outside) if outside else np.empty(0, dtype=np.intp)
     while idx.size:
-        values = rng.standard_normal(idx.size) * std
+        values = rng.standard_normal(idx.size) * INIT_STD
         flat[idx] = values
         idx = idx[np.abs(values) > bound]
     return out
 
 
 def _init_linear(weight, in_dim: int, out_dim: int) -> T.LinearParams:
-    return T.LinearParams(
-        weight=weight((in_dim, out_dim)),
-        bias=np.zeros(out_dim, dtype=np.float32),
-    )
+    try:
+        w, b = weight((in_dim, out_dim)), np.zeros(out_dim, dtype=np.float32)
+    except (MemoryError, ValueError) as e:  # numpy raises ValueError past the largest size
+        raise ConfigError(f"cannot allocate the model's ({in_dim}, {out_dim}) weight: {e}") from None
+    return T.LinearParams(weight=w, bias=b)
 
 
 def _build_bottleneck(weight, region_size: int, channels: int, n_layers: int) -> BottleneckMlpParams:
@@ -469,7 +462,8 @@ def _build_block(weight, st: StageConfig, ratio: int, n_fcs: int, shifted: bool)
 def assemble_model(config: ModelConfig, weight: Callable[[tuple[int, int]], np.ndarray]) -> Model:
     """Model of `config` whose float32 FC weights come from weight(shape),
     called once per FC in a fixed order; biases start at zero and norms at
-    the identity."""
+    the identity. An FC too large to allocate is a ConfigError naming its
+    weight's shape."""
     config.validate()
     stages = []
     in_c = 3
@@ -491,7 +485,7 @@ def assemble_model(config: ModelConfig, weight: Callable[[tuple[int, int]], np.n
         stages.append(StageParams(embed=embed, blocks=blocks))
         in_c = st.channels
     head = _init_linear(weight, in_c, config.num_classes)
-    return Model(config=config, stages=stages, head=head)
+    return Model(stages=stages, head=head)
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:

@@ -7,7 +7,8 @@ Two levels operate on NHWC feature maps along a chosen spatial axis:
   (one FC can then mix them); `inner_restore` is the exact inverse.
 * cross-region: move every token by a circular step (`shifted` manner,
   order-preserving) or transpose the (regions x offset) factorization of
-  the axis (`shuffle` manner); the restore applies the exact inverse.
+  the axis (`shuffle` manner); the restore applies the exact inverse. A
+  step is taken modulo the axis extent, so any step suits any extent.
 
 `partition_pad` extends the axis to the next multiple of the region size
 so inner-region rearrangement always sees a divisible extent; `crop_pad`
@@ -70,17 +71,6 @@ class ShiftSpec:
             raise ConfigError(f"ShiftSpec: unknown manner '{self.manner}'")
 
 
-@dataclass(frozen=True)
-class PadRecord:
-    original: int
-    padded: int
-    axis: str
-
-    def __post_init__(self):
-        if self.padded < self.original:
-            raise ConfigError("PadRecord: padded extent smaller than original")
-
-
 def padded_extent(extent: int, region_size: int) -> int:
     """Least multiple of region_size that is >= extent."""
     return -(-extent // region_size) * region_size
@@ -108,7 +98,7 @@ def pad_axis(x: T.ArrayLike, axis: int, before: int, after: int, mode: str) -> T
     return T.take(x, pad_index(T._value(x).shape[axis], before, after, mode), axis)
 
 
-def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRecord]:
+def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> T.ArrayLike:
     """Pad x at the end of spec.axis up to a multiple of the region size,
     in spec.padding_mode (see pad_axis)."""
     xv = T._value(x)
@@ -116,23 +106,17 @@ def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> tuple[T.ArrayLike, PadRec
         raise InvalidInputError("partition_pad: empty input")
     axis = AXIS_INDEX[spec.axis]
     extent = xv.shape[axis]
-    target = padded_extent(extent, spec.region_size)
-    xp = pad_axis(x, axis, 0, target - extent, spec.padding_mode)
-    return xp, PadRecord(extent, target, spec.axis)
+    return pad_axis(x, axis, 0, padded_extent(extent, spec.region_size) - extent, spec.padding_mode)
 
 
-def crop_pad(x: T.ArrayLike, rec: PadRecord) -> T.ArrayLike:
-    """Crop a padded axis back to its original extent; returns x itself
-    when nothing was padded."""
-    axis = AXIS_INDEX[rec.axis]
-    xv = T._value(x)
-    if xv.shape[axis] != rec.padded:
-        raise ShapeError(
-            f"crop_pad: extent {xv.shape[axis]} does not match PadRecord padded {rec.padded}"
-        )
-    if rec.padded == rec.original:
+def crop_pad(x: T.ArrayLike, axis: str, extent: int) -> T.ArrayLike:
+    """Crop the padded `axis` back to its first `extent` tokens; returns x
+    itself when it has exactly that many, and T.crop's ShapeError when it
+    has fewer."""
+    ax = AXIS_INDEX[axis]
+    if T._value(x).shape[ax] == extent:
         return x
-    return T.crop(x, axis, 0, rec.original)
+    return T.crop(x, ax, 0, extent)
 
 
 def inner_rearrange(x: T.ArrayLike, spec: RegionSpec) -> T.ArrayLike:
@@ -197,36 +181,37 @@ def _shuffle_inverse_index(extent: int, region_size: int) -> np.ndarray:
     return np.arange(extent).reshape(region_size, g).T.ravel()
 
 
-def _check_shift(extent: int, shift: ShiftSpec, region_size: int | None) -> None:
+def _reduced_step(extent: int, shift: ShiftSpec, region_size: int | None) -> int | None:
+    """A shifted manner's step modulo extent (a full cycle is the identity);
+    None for the shuffle manner, once extent and region size are checked."""
     if shift.manner == "shifted":
-        if shift.step >= extent:
-            raise InvalidInputError(
-                f"cross_rearrange: step {shift.step} must be < extent {extent}"
-            )
-    else:
-        if region_size is None:
-            raise ConfigError("cross_rearrange: shuffle manner needs a region size")
-        if extent % region_size != 0:
-            raise InvalidInputError(
-                f"cross_rearrange: extent {extent} not divisible by region size "
-                f"{region_size} (shuffle manner)"
-            )
+        if extent < 1:
+            raise InvalidInputError("cross_rearrange: cannot shift an empty axis")
+        return shift.step % extent
+    if region_size is None:
+        raise ConfigError("cross_rearrange: shuffle manner needs a region size")
+    if extent % region_size != 0:
+        raise InvalidInputError(
+            f"cross_rearrange: extent {extent} not divisible by region size "
+            f"{region_size} (shuffle manner)"
+        )
+    return None
 
 
 def cross_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
     """Source position of every token after cross_rearrange along an axis of `extent`."""
-    _check_shift(extent, shift, region_size)
-    if shift.manner == "shifted":
-        return _shift_index(extent, shift.step)
-    return _shuffle_index(extent, region_size)
+    step = _reduced_step(extent, shift, region_size)
+    if step is None:
+        return _shuffle_index(extent, region_size)
+    return _shift_index(extent, step)
 
 
 def cross_restore_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
     """Source position of every token after cross_restore: the inverse of cross_index."""
-    _check_shift(extent, shift, region_size)
-    if shift.manner == "shifted":
-        return _shift_index(extent, -shift.step % extent if extent else 0)
-    return _shuffle_inverse_index(extent, region_size)
+    step = _reduced_step(extent, shift, region_size)
+    if step is None:
+        return _shuffle_inverse_index(extent, region_size)
+    return _shift_index(extent, -step)
 
 
 def cross_rearrange(
@@ -234,9 +219,9 @@ def cross_rearrange(
 ) -> T.ArrayLike:
     """Move tokens between regions along an axis.
 
-    shifted: circular shift by `step` (token i -> i + step mod extent),
-    preserving relative cyclic order. shuffle: re-read the (regions x
-    offset) factorization transposed, interleaving regions.
+    shifted: circular shift by `step` (token i -> i + step mod extent, for
+    any step), preserving relative cyclic order. shuffle: re-read the
+    (regions x offset) factorization transposed, interleaving regions.
     """
     ax = AXIS_INDEX[axis]
     return T.take(x, cross_index(T._value(x).shape[ax], shift, region_size), ax)

@@ -53,6 +53,8 @@ _keep_freed_heap()
 # plain Python floats so float32 inputs are not promoted
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# added to every batch-norm variance before the square root
+BN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,6 @@ def batch_norm(
     mode: str,
     running_mean: Array | None = None,
     running_var: Array | None = None,
-    eps: float = 1e-5,
 ) -> ArrayLike:
     """Per-channel normalization over all leading axes (channels last).
 
@@ -363,7 +364,7 @@ def batch_norm(
     recording it on a tape and calling backward raises UnsupportedOpError,
     since no adjoint is registered for it). Running mode folds the
     statistics and the affine into a per-channel scale s = gamma / sqrt(var
-    + eps) and shift t = beta - mean s, and makes two passes over x:
+    + BN_EPS) and shift t = beta - mean s, and makes two passes over x:
     x s, then + t.
     """
     xv = _value(x)
@@ -378,7 +379,7 @@ def batch_norm(
         count = int(np.prod([xv.shape[a] for a in axes])) if xv.ndim > 1 else xv.size
         if count == 0 or xv.size == 0:
             raise InvalidInputError("batch_norm: zero-size batch in batch-statistics mode")
-        invstd = 1.0 / np.sqrt(xv.var(axis=axes) + eps)
+        invstd = 1.0 / np.sqrt(xv.var(axis=axes) + BN_EPS)
         xhat = (xv - xv.mean(axis=axes)) * invstd
         out = xhat * gv + bv
         ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv, "axes": axes}
@@ -386,7 +387,7 @@ def batch_norm(
         if running_mean is None or running_var is None:
             raise ConfigError("batch_norm: running mode requires stored statistics")
         # stored statistics are buffers, never differentiated
-        scale = gv / np.sqrt(_value(running_var) + eps)
+        scale = gv / np.sqrt(_value(running_var) + BN_EPS)
         out = xv * scale
         out += bv - _value(running_mean) * scale
         ctx = {}
@@ -567,21 +568,17 @@ def _adj_sum_all(node: _Node, g: Array):
 
 @dataclass
 class LinearParams:
-    """Weight [in_dim, out_dim] and optional bias [out_dim]."""
+    """Weight [in_dim, out_dim] and bias [out_dim]."""
 
     weight: ArrayLike
-    bias: ArrayLike | None = None
+    bias: ArrayLike
 
     def __post_init__(self):
-        w = _value(self.weight)
+        w, b = _value(self.weight), _value(self.bias)
         if w.ndim != 2:
             raise ConfigError(f"LinearParams: weight must be rank-2, got {w.shape}")
-        if self.bias is not None:
-            b = _value(self.bias)
-            if b.shape != (w.shape[1],):
-                raise ConfigError(
-                    f"LinearParams: bias {b.shape} inconsistent with weight {w.shape}"
-                )
+        if b.shape != (w.shape[1],):
+            raise ConfigError(f"LinearParams: bias {b.shape} inconsistent with weight {w.shape}")
 
     @property
     def in_dim(self) -> int:
@@ -594,18 +591,15 @@ class LinearParams:
 
 @dataclass
 class NormParams:
-    """Batch-norm state: affine (gamma, beta), running stats, epsilon, mode."""
+    """Batch-norm state: affine (gamma, beta), running stats, mode (see batch_norm)."""
 
     gamma: ArrayLike
     beta: ArrayLike
     running_mean: Array
     running_var: Array
-    eps: float = 1e-5
     mode: str = "running"  # "batch" | "running"
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigError("NormParams: eps must be positive")
         if np.any(_value(self.running_var) < 0):
             raise ConfigError("NormParams: running variance must be nonnegative")
         if self.mode not in ("batch", "running"):
@@ -638,7 +632,6 @@ def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
         mode=p.mode,
         running_mean=p.running_mean,
         running_var=p.running_var,
-        eps=p.eps,
     )
 
 
@@ -648,7 +641,7 @@ def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
 
 
 def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
-    """Rebuild a nested dataclass/list/tuple/dict structure through fn.
+    """Rebuild a nested dataclass/list/tuple structure through fn.
 
     fn(path, node) sees every node, outermost first, with its dotted path,
     and returns the node's replacement; when it returns the node itself,
@@ -661,8 +654,6 @@ def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
         return new
     if isinstance(obj, (list, tuple)):
         items = enumerate(obj)
-    elif isinstance(obj, dict):
-        items = obj.items()
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
     else:
@@ -675,8 +666,6 @@ def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
         changed |= child is not v
     if not changed:
         return obj
-    if isinstance(obj, dict):
-        return out
     if isinstance(obj, (list, tuple)):
         return type(obj)(out.values())
     return obj.__class__(**out)

@@ -101,14 +101,14 @@ def large_config() -> ModelConfig:
     )
 
 
-def micro_config(num_classes: int = 2, padding: str = "circular") -> ModelConfig:
+def micro_config() -> ModelConfig:
     """Desk-scale config for gradient checks and fast structural tests."""
     return ModelConfig(
         stages=(
-            StageConfig(depth=1, channels=8, h=2, w=2, s=1, padding=padding),
-            StageConfig(depth=1, channels=12, h=3, w=3, s=1, padding=padding),
-            StageConfig(depth=1, channels=16, h=2, w=2, s=1, padding=padding),
-            StageConfig(depth=1, channels=20, h=1, w=1, s=0, padding=padding),
+            StageConfig(depth=1, channels=8, h=2, w=2, s=1),
+            StageConfig(depth=1, channels=12, h=3, w=3, s=1),
+            StageConfig(depth=1, channels=16, h=2, w=2, s=1),
+            StageConfig(depth=1, channels=20, h=1, w=1, s=0),
         ),
         patch_embed=(
             PatchEmbedSpec(kernel=7, stride=4),
@@ -117,7 +117,7 @@ def micro_config(num_classes: int = 2, padding: str = "circular") -> ModelConfig
             PatchEmbedSpec(kernel=3, stride=2),
         ),
         expansion_ratio=(2, 2, 2, 2),
-        num_classes=num_classes,
+        num_classes=2,
         shift_phase=0,  # single-block stages still exercise the cross-shift
         meta={"name": "micro"},
     )

@@ -8,6 +8,7 @@ import numpy as np
 
 from hiremlp import tensor as T
 from hiremlp.invariants import sequential_branch
+from hiremlp.network import INIT_STD
 
 
 def loop_matmul(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -113,13 +114,13 @@ _NP_PAD = {"zero": "constant", "circular": "wrap", "reflect": "reflect", "replic
 
 def explicit_batch_norm(x: np.ndarray, p) -> np.ndarray:
     """Running-statistics batch norm as (x - mean) invstd gamma + beta."""
-    invstd = 1.0 / np.sqrt(p.running_var + p.eps)
+    invstd = 1.0 / np.sqrt(p.running_var + T.BN_EPS)
     return (x - p.running_mean) * invstd * p.gamma + p.beta
 
 
 def reference_linear(x: np.ndarray, p) -> np.ndarray:
     y = (x.reshape(-1, x.shape[-1]) @ p.weight).reshape(x.shape[:-1] + (p.weight.shape[1],))
-    return y if p.bias is None else y + p.bias
+    return y + p.bias
 
 
 def reference_bottleneck(v: np.ndarray, p) -> np.ndarray:
@@ -162,9 +163,10 @@ def reference_forward(model, x: np.ndarray) -> np.ndarray:
     return reference_linear(x.mean(axis=(1, 2)), model.head)
 
 
-def reference_trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def reference_trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Whole-array truncated normal: one float64 draw of the full shape, then
     masked redraws of every |value| > 2 std until none is left, then a cast."""
+    std = INIT_STD
     out = rng.standard_normal(shape) * std
     bound = 2.0 * std
     mask = np.abs(out) > bound

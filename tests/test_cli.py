@@ -158,6 +158,36 @@ def test_config_type_error_exits_2_naming_file_and_field(capsys, tmp_path):
     assert err == f"error: {path}: stages[2].channels: expected an integer, got a string\n"
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        # 576 TiB: past a 47-bit address space, so the allocator refuses it
+        (("summary",), ("stages", 3, "channels"), 2**40),
+        # past 2**63 bytes: numpy refuses these before asking the allocator
+        (("summary",), ("stages", 3, "channels"), 2**60),
+        (("forward", "--random", "64x64x3"), ("stages", 3, "channels"), 2**60),
+        (("summary",), ("num_classes",), 2**62),
+        (("forward", "--random", "64x64x3"), ("num_classes",), 2**62),
+    ],
+    ids=["summary-channels-2^40", "summary-channels-2^60", "forward-channels-2^60",
+         "summary-classes-2^62", "forward-classes-2^62"],
+)
+def test_unallocatable_model_exits_2_naming_the_shape(capsys, tmp_path, command, field, value):
+    doc = copy.deepcopy(MICRO_JSON)
+    *parents, key = field
+    holder = doc
+    for k in parents:
+        holder = holder[k]
+    holder[key] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--config", str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot allocate the model's (") and err.count("\n") == 1, err
+    assert str(value) in err
+
+
 def _json_paths(node, path=()):
     """The path of every object member and array entry below a JSON value."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -303,9 +333,14 @@ def test_bench_json_reports_build_time(capsys, micro_cfg_path):
 
 
 def test_bench_zero_iters_exits_2(capsys, micro_cfg_path):
-    code, _, err = run(capsys, "bench", "--config", micro_cfg_path, "--iters", "0")
-    assert code == 2
-    assert "iters" in err
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--config", micro_cfg_path, "--iters", "0"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hiremlp bench ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["hiremlp bench: error: argument --iters: expected an integer >= 6, got '0'"]
 
 
 # ---------------------------------------------------------------------------

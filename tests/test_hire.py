@@ -93,13 +93,13 @@ def test_bottleneck_chain_mismatch_raises_at_construction():
     with pytest.raises(ConfigError):
         BottleneckMlpParams(
             layers=[
-                T.LinearParams(np.zeros((8, 2))),
-                T.LinearParams(np.zeros((3, 8))),
+                T.LinearParams(np.zeros((8, 2)), np.zeros(2)),
+                T.LinearParams(np.zeros((3, 8)), np.zeros(8)),
             ]
         )
     with pytest.raises(ConfigError):
         # in/out dims must agree
-        BottleneckMlpParams(layers=[T.LinearParams(np.zeros((8, 4)))])
+        BottleneckMlpParams(layers=[T.LinearParams(np.zeros((8, 4)), np.zeros(4))])
 
 
 def test_bottleneck_widths_scheme():
@@ -221,8 +221,10 @@ def test_module_validation(rng):
     c = 4
     hb, wb = make_branch(rng, "height", c, 2), make_branch(rng, "width", c, 2)
     with pytest.raises(ConfigError, match="square"):
-        HireModuleParams(height=hb, width=wb, channel=T.LinearParams(np.zeros((c, c + 1))))
-    square = T.LinearParams(np.zeros((c, c)))
+        HireModuleParams(
+            height=hb, width=wb, channel=T.LinearParams(np.zeros((c, c + 1)), np.zeros(c + 1))
+        )
+    square = T.LinearParams(np.zeros((c, c)), np.zeros(c))
     with pytest.raises(ConfigError, match="height axis"):
         HireModuleParams(height=wb, width=hb, channel=square)
     with pytest.raises(ConfigError, match="width axis"):

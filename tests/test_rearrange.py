@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hiremlp.errors import ConfigError, InvalidInputError, ShapeError
 from hiremlp.invariants import preserves_cyclic_order, token_permutation
 from hiremlp.rearrange import (
+    AXIS_INDEX,
     PADDING_MODES,
-    PadRecord,
     RegionSpec,
     ShiftSpec,
     cross_rearrange,
@@ -40,16 +40,15 @@ def fmap(rng, n=1, h=4, w=4, c=2, dtype=np.float32):
 
 def test_pad_divisible_is_noop(rng):
     x = fmap(rng, h=8)
-    xp, rec = partition_pad(x, RegionSpec("height", 4, "circular"))
-    assert rec == PadRecord(8, 8, "height")
+    xp = partition_pad(x, RegionSpec("height", 4, "circular"))
     assert xp is x
-    assert crop_pad(xp, rec) is xp
+    assert crop_pad(xp, "height", 8) is xp
 
 
 def test_pad_circular_wraps(rng):
     x = fmap(rng, h=7)
-    xp, rec = partition_pad(x, RegionSpec("height", 2, "circular"))
-    assert rec == PadRecord(7, 8, "height")
+    xp = partition_pad(x, RegionSpec("height", 2, "circular"))
+    assert np.asarray(xp).shape[1] == 8
     # derived from the index oracle out[i] = in[i mod 7]
     idx = circular_pad_index(7, 8)
     assert idx[-1] == 0
@@ -59,14 +58,14 @@ def test_pad_circular_wraps(rng):
 
 def test_pad_zero_fills_zeros(rng):
     x = fmap(rng, h=7)
-    xp, _ = partition_pad(x, RegionSpec("height", 2, "zero"))
+    xp = partition_pad(x, RegionSpec("height", 2, "zero"))
     np.testing.assert_array_equal(np.asarray(xp)[:, -1], 0.0)
     np.testing.assert_array_equal(np.asarray(xp)[:, :7], x)
 
 
 def test_pad_reflect_mirrors_without_edge(rng):
     x = fmap(rng, h=3)
-    xp, _ = partition_pad(x, RegionSpec("height", 5, "reflect"))
+    xp = partition_pad(x, RegionSpec("height", 5, "reflect"))
     # reflect of [0,1,2] to length 5 -> [0,1,2,1,0]
     np.testing.assert_array_equal(np.asarray(xp)[:, 3], x[:, 1])
     np.testing.assert_array_equal(np.asarray(xp)[:, 4], x[:, 0])
@@ -74,7 +73,7 @@ def test_pad_reflect_mirrors_without_edge(rng):
 
 def test_pad_replicate_repeats_edge(rng):
     x = fmap(rng, w=3)
-    xp, _ = partition_pad(x, RegionSpec("width", 2, "replicate"))
+    xp = partition_pad(x, RegionSpec("width", 2, "replicate"))
     np.testing.assert_array_equal(np.asarray(xp)[:, :, 3], x[:, :, 2])
 
 
@@ -87,7 +86,7 @@ def test_pad_reflect_extent_one_rejected(rng):
 def test_crop_pad_shape_check(rng):
     x = fmap(rng, h=6)
     with pytest.raises(ShapeError):
-        crop_pad(x, PadRecord(5, 8, "height"))
+        crop_pad(x, "height", 8)  # more tokens than the map has
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,9 +103,9 @@ def test_pad_then_crop_is_identity(h, m, mode, seed):
         with pytest.raises(InvalidInputError):
             partition_pad(x, RegionSpec("height", m, mode))
         return
-    xp, rec = partition_pad(x, RegionSpec("height", m, mode))
-    assert np.asarray(xp).shape[1] == padded_extent(h, m) == rec.padded
-    np.testing.assert_array_equal(crop_pad(xp, rec), x)
+    xp = partition_pad(x, RegionSpec("height", m, mode))
+    assert np.asarray(xp).shape[1] == padded_extent(h, m)
+    np.testing.assert_array_equal(crop_pad(xp, "height", h), x)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +181,13 @@ def test_inner_roundtrip_random_shapes(n, h, w, c, m, axis, seed):
     r = np.random.default_rng(seed)
     x = fmap(r, n=n, h=h, w=w, c=c)
     spec = RegionSpec(axis, m, "circular")
-    xp, rec = partition_pad(x, spec)
+    xp = partition_pad(x, spec)
     y = inner_rearrange(xp, spec)
     # bijection on the padded map: multiset of values is preserved exactly
     np.testing.assert_array_equal(
         np.sort(np.asarray(y), axis=None), np.sort(np.asarray(xp), axis=None)
     )
-    np.testing.assert_array_equal(crop_pad(inner_restore(y, spec), rec), x)
+    np.testing.assert_array_equal(crop_pad(inner_restore(y, spec), axis, h if axis == "height" else w), x)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +224,21 @@ def test_cross_matches_roll_oracle(axis, axis_idx, rng):
         np.testing.assert_array_equal(got, roll_index_map(x, axis_idx, s))
 
 
-def test_cross_step_too_large_rejected(rng):
-    x = fmap(rng, h=4)
-    with pytest.raises(InvalidInputError):
-        cross_rearrange(x, "height", ShiftSpec(4))
+def test_cross_step_is_taken_modulo_extent(rng):
+    # step s + k * extent is the same permutation as step s, and the round
+    # trip at that step is still the identity, bitwise
+    x = fmap(rng, h=5, w=4, dtype=np.float64)
+    for axis in ("height", "width"):
+        extent = x.shape[AXIS_INDEX[axis]]
+        for s in range(extent):
+            y = np.asarray(cross_rearrange(x, axis, ShiftSpec(s)))
+            back = np.asarray(cross_restore(y, axis, ShiftSpec(s)))
+            for k in (1, 2, 3):
+                big = ShiftSpec(s + k * extent)
+                y_big = np.asarray(cross_rearrange(x, axis, big))
+                assert y_big.tobytes() == y.tobytes(), (axis, s, k)
+                assert np.asarray(cross_restore(y, axis, big)).tobytes() == back.tobytes(), (axis, s, k)
+                assert np.asarray(cross_restore(y_big, axis, big)).tobytes() == x.tobytes(), (axis, s, k)
 
 
 def test_cross_restore_inverse_all_steps(rng):
@@ -312,5 +322,3 @@ def test_spec_validation():
         ShiftSpec(-1)
     with pytest.raises(ConfigError):
         ShiftSpec(1, "random")
-    with pytest.raises(ConfigError):
-        PadRecord(5, 4, "height")

@@ -93,10 +93,9 @@ def test_batch_norm_running_identity():
         beta=np.zeros(4),
         running_mean=np.zeros(4),
         running_var=np.ones(4),
-        eps=1e-12,
         mode="running",
     )
-    np.testing.assert_allclose(T.apply_norm(x, p), x, rtol=1e-9)
+    np.testing.assert_allclose(T.apply_norm(x, p), x / np.sqrt(1 + T.BN_EPS), rtol=1e-9)
 
 
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -133,9 +132,9 @@ def test_batch_norm_zero_batch_rejected():
 
 def test_norm_params_validation():
     with pytest.raises(ConfigError):
-        T.NormParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=0.0)
-    with pytest.raises(ConfigError):
         T.NormParams(np.ones(3), np.zeros(3), np.zeros(3), -np.ones(3))
+    with pytest.raises(ConfigError):
+        T.NormParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), mode="train")
 
 
 # ---------------------------------------------------------------------------
