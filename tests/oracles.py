@@ -163,10 +163,9 @@ def reference_forward(model, x: np.ndarray) -> np.ndarray:
     return reference_linear(x.mean(axis=(1, 2)), model.head)
 
 
-def reference_trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def reference_trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
     """Whole-array truncated normal: one float64 draw of the full shape, then
     masked redraws of every |value| > 2 std until none is left, then a cast."""
-    std = INIT_STD
     out = rng.standard_normal(shape) * std
     bound = 2.0 * std
     mask = np.abs(out) > bound

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiremlp import network
 from hiremlp import tensor as T
 from hiremlp.accounting import count_config, count_model
 from hiremlp.errors import ConfigError, InvalidInputError
@@ -303,16 +304,20 @@ def test_build_same_seed_identical():
 B = TRUNC_NORMAL_BLOCK
 
 
+# std 1.0 as well as INIT_STD: the blocked draw must stay bitwise equal to the
+# whole-array form whatever the scale the float64 values are rounded at
+@pytest.mark.parametrize("std", [0.02, 1.0])
 @pytest.mark.parametrize(
     "shape",
     [(0, 5), (1,), (37, 41), (B,), (128, B // 128), (2, B), (3, B + 5), (7 * B // 3,)],
     ids=["empty", "one", "below", "flat-block", "block", "two-blocks", "above", "non-multiple"],
 )
-def test_trunc_normal_bitwise_equals_whole_array_reference(shape):
+def test_trunc_normal_bitwise_equals_whole_array_reference(shape, std, monkeypatch):
+    monkeypatch.setattr(network, "INIT_STD", std)
     for seed in (0, 1, 7, 2024):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = trunc_normal(rng, shape)
-        want = reference_trunc_normal(ref_rng, shape)
+        want = reference_trunc_normal(ref_rng, shape, std)
         assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), seed
         # the next FC's draws continue from the same point of the stream
