@@ -60,6 +60,14 @@ def _regular_file(path: str, what: str) -> Path:
     return p
 
 
+def _random_input(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded standard-normal float32 input; a shape that cannot be allocated is a UsageError."""
+    try:
+        return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+    except (MemoryError, ValueError) as e:  # numpy raises ValueError past the largest size
+        raise UsageError(f"cannot allocate a {'x'.join(map(str, shape))} input: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # summary
 # ---------------------------------------------------------------------------
@@ -131,9 +139,7 @@ def cmd_forward(args) -> int:
     else:
         model = build_model(cfg, seed=args.seed)
     if args.random:
-        h, w, c = _parse_hwc(args.random)
-        rng = np.random.default_rng(args.seed)
-        x = rng.standard_normal((1, h, w, c)).astype(np.float32)
+        x = _random_input(args.seed, (1, *_parse_hwc(args.random)))
     elif args.input:
         tensors = load_tensors(_regular_file(args.input, "input"))
         if len(tensors) != 1:
@@ -350,8 +356,7 @@ def cmd_bench(args) -> int:
     model = build_model(cfg, seed=args.seed)
     build_s = time.perf_counter() - t0
     h, w = _parse_hwc(args.hw, 2)
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((args.batch, h, w, 3)).astype(np.float32)
+    x = _random_input(args.seed, (args.batch, h, w, 3))
 
     times = []
     for _ in range(BENCH_WARMUP + args.iters):

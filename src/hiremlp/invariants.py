@@ -271,8 +271,6 @@ def op_grad_cases(rng) -> list[tuple[str, np.ndarray, Callable]]:
 
 # max relative error (see rel_error) every gradient check must stay below
 GRAD_TOLERANCE = 1e-4
-# central-difference step of every gradient check (64-bit arrays)
-FD_EPS = 1e-5
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -290,9 +288,7 @@ def input_grad_error(fn: Callable, x: np.ndarray, *params) -> float:
     tape = T.Tape()
     xv = tape.leaf(x)
     grads = T.backward(tape, T.sum_all(fn(xv, *T.bind_tree(params, tape))))
-    fd = T.finite_difference_grad(
-        lambda a: float(np.asarray(T.sum_all(fn(a, *params)))), x.copy(), FD_EPS
-    )
+    fd = T.finite_difference_grad(lambda a: float(np.asarray(T.sum_all(fn(a, *params)))), x.copy())
     return rel_error(grads.wrt(xv), fd)
 
 
@@ -367,7 +363,7 @@ def model_gradcheck(seed: int = 0, coords: int = 100) -> dict[str, float]:
         group = "input" if slot == 0 else "params"
         ad.setdefault(group, []).append(float(grads.wrt(leaves[slot]).reshape(-1)[local]))
         fd.setdefault(group, []).append(
-            T.finite_difference_grad(loss, leaves[slot].value, FD_EPS, [local])[0]
+            T.finite_difference_grad(loss, leaves[slot].value, [local])[0]
         )
     return {g: rel_error(np.array(ad[g]), np.array(fd[g])) for g in ad}
 

@@ -14,6 +14,7 @@ linear layer.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -294,6 +295,20 @@ def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
 
 
+@functools.lru_cache(maxsize=256)
+def _unfold_window(extent: int, out: int, kernel: int, stride: int, padding: str) -> tuple[int, np.ndarray]:
+    """(pad, window) of `_unfold`: the axis's total padding and its gather.
+
+    The gather composes a non-zero padding; with zero padding it indexes
+    the padded axis. The window is cached, so it is read-only."""
+    pad = max(0, (out - 1) * stride + kernel - extent)
+    window = (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
+    if padding != "zero" and pad:
+        window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
+    window.setflags(write=False)
+    return pad, window
+
+
 def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, padding: str) -> T.ArrayLike:
     """Gather `out` overlapping windows of one axis, window after window.
 
@@ -301,13 +316,9 @@ def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, paddi
     padded, split evenly before and after, until the last window fits. A
     non-zero padding is composed into the gather; zero padding pads first.
     """
-    extent = T._value(x).shape[axis]
-    pad = max(0, (out - 1) * stride + kernel - extent)
-    window = (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
+    pad, window = _unfold_window(T._value(x).shape[axis], out, kernel, stride, padding)
     if padding == "zero":
         x = pad_axis(x, axis, pad // 2, pad - pad // 2, padding)
-    elif pad:
-        window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
     return T.take(x, window, axis)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -362,7 +363,10 @@ def batch_norm(
     mode="batch" normalizes with statistics of x itself (the differentiable
     path); mode="running" applies the stored statistics (inference only —
     recording it on a tape and calling backward raises UnsupportedOpError,
-    since no adjoint is registered for it). Running mode folds the
+    since no adjoint is registered for it). Batch mode works on the (M, C)
+    view of x: one sum gives the mean, the centred map gives the variance
+    (the same two-pass sums numpy's mean and var take), and the centred map
+    is then normalized in place. Running mode folds the
     statistics and the affine into a per-channel scale s = gamma / sqrt(var
     + BN_EPS) and shift t = beta - mean s, and makes two passes over x:
     x s, then + t.
@@ -374,15 +378,16 @@ def batch_norm(
         raise ShapeError(
             f"batch_norm: gamma/beta {gv.shape}/{bv.shape} do not match channels {c}"
         )
-    axes = tuple(range(xv.ndim - 1))
     if mode == "batch":
-        count = int(np.prod([xv.shape[a] for a in axes])) if xv.ndim > 1 else xv.size
-        if count == 0 or xv.size == 0:
+        if xv.size == 0:
             raise InvalidInputError("batch_norm: zero-size batch in batch-statistics mode")
-        invstd = 1.0 / np.sqrt(xv.var(axis=axes) + BN_EPS)
-        xhat = (xv - xv.mean(axis=axes)) * invstd
-        out = xhat * gv + bv
-        ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv, "axes": axes}
+        x2 = xv.reshape(-1, c)
+        count = x2.shape[0]
+        xhat = x2 - x2.sum(axis=0) / count
+        invstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=0) / count + BN_EPS)
+        xhat *= invstd
+        out = (xhat * gv + bv).reshape(xv.shape)
+        ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv}
     elif mode == "running":
         if running_mean is None or running_var is None:
             raise ConfigError("batch_norm: running mode requires stored statistics")
@@ -402,20 +407,23 @@ def batch_norm(
 
 @_adjoint("batch_norm")
 def _adj_batch_norm(node: _Node, g: Array):
-    # standard batch-statistics adjoint; running mode intentionally unregistered
+    # standard batch-statistics adjoint on the (M, C) view, whose two
+    # reductions serve dx, dgamma and dbeta; running mode intentionally unregistered
     xhat, invstd, gv = node.ctx["xhat"], node.ctx["invstd"], node.ctx["gamma"]
-    axes = node.ctx["axes"]
+    count = xhat.shape[0]
+    g2 = g.reshape(xhat.shape)
+    g_sum = g2.sum(axis=0)
+    gx_sum = (g2 * xhat).sum(axis=0)
     out = []
     if node.parents[0] is not None:
-        m = np.prod([g.shape[a] for a in axes])
-        g_mean = g.mean(axis=axes)
-        gx_mean = (g * xhat).mean(axis=axes)
-        dx = (gv * invstd) * (g - g_mean - xhat * gx_mean)
-        out.append((0, dx))
+        dx = g2 - g_sum / count
+        dx -= xhat * (gx_sum / count)
+        dx *= gv * invstd
+        out.append((0, dx.reshape(g.shape)))
     if node.parents[1] is not None:
-        out.append((1, (g * xhat).sum(axis=axes)))
+        out.append((1, gx_sum))
     if node.parents[2] is not None:
-        out.append((2, g.sum(axis=axes)))
+        out.append((2, g_sum))
     return out
 
 
@@ -640,6 +648,14 @@ def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names, in order; None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
     """Rebuild a nested dataclass/list/tuple structure through fn.
 
@@ -654,10 +670,11 @@ def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
         return new
     if isinstance(obj, (list, tuple)):
         items = enumerate(obj)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
     else:
-        return obj
+        names = _field_names(type(obj))
+        if names is None:
+            return obj
+        items = [(name, getattr(obj, name)) for name in names]
     prefix = f"{path}." if path else ""
     out = {}
     changed = False
@@ -710,27 +727,29 @@ def bind_tree(obj, tape: Tape):
 # ---------------------------------------------------------------------------
 
 
+# central-difference step: float64 round-off and truncation error balance near it
+FD_EPS = 1e-5
+
+
 def finite_difference_grad(
-    f: Callable[[Array], float], x: Array, eps: float, coords: Sequence[int] | None = None
+    f: Callable[[Array], float], x: Array, coords: Sequence[int] | None = None
 ) -> Array:
-    """Central-difference gradient estimate of a scalar function of x.
+    """Central-difference gradient estimate of a scalar function of x, step FD_EPS.
 
     x is perturbed in place and restored. With coords (flat indices), only
     those entries are estimated, as a 1-D array in coords order; otherwise
     the whole gradient, in the shape of x.
     """
-    if eps <= 0:
-        raise InvalidInputError("finite_difference_grad: eps must be positive")
     x = np.asarray(x)
     flat = x.reshape(-1)
     picks = range(flat.size) if coords is None else coords
     out = np.zeros(len(picks), dtype=np.float64)
     for k, i in enumerate(picks):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_EPS
         fp = float(f(x))
-        flat[i] = orig - eps
+        flat[i] = orig - FD_EPS
         fm = float(f(x))
         flat[i] = orig
-        out[k] = (fp - fm) / (2.0 * eps)
+        out[k] = (fp - fm) / (2.0 * FD_EPS)
     return out.reshape(x.shape) if coords is None else out

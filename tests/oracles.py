@@ -118,6 +118,28 @@ def explicit_batch_norm(x: np.ndarray, p) -> np.ndarray:
     return (x - p.running_mean) * invstd * p.gamma + p.beta
 
 
+def two_pass_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, g: np.ndarray):
+    """Batch-statistics batch norm by x.mean and x.var over the leading axes,
+    and its adjoint at output gradient g by the textbook formula: returns
+    (out, dx, dgamma, dbeta)."""
+    axes = tuple(range(x.ndim - 1))
+    invstd = 1.0 / np.sqrt(x.var(axis=axes) + T.BN_EPS)
+    xhat = (x - x.mean(axis=axes)) * invstd
+    dx = (gamma * invstd) * (g - g.mean(axis=axes) - xhat * (g * xhat).mean(axis=axes))
+    return xhat * gamma + beta, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def unfold_one_axis(x: np.ndarray, axis: int, out: int, kernel: int, stride: int, padding: str) -> np.ndarray:
+    """`out` windows of `kernel` tokens, `stride` apart, cut one by one from
+    x padded by np.pad, split evenly before and after, and concatenated."""
+    pad = max(0, (out - 1) * stride + kernel - x.shape[axis])
+    widths = [(0, 0)] * x.ndim
+    widths[axis] = (pad // 2, pad - pad // 2)
+    xp = np.pad(x, widths, mode=_NP_PAD[padding])
+    pieces = [np.take(xp, np.arange(o * stride, o * stride + kernel), axis) for o in range(out)]
+    return np.concatenate(pieces, axis)
+
+
 def reference_linear(x: np.ndarray, p) -> np.ndarray:
     y = (x.reshape(-1, x.shape[-1]) @ p.weight).reshape(x.shape[:-1] + (p.weight.shape[1],))
     return y + p.bias

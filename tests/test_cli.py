@@ -188,6 +188,22 @@ def test_unallocatable_model_exits_2_naming_the_shape(capsys, tmp_path, command,
     assert str(value) in err
 
 
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        # past 2**63 bytes: numpy refuses both draws before asking the allocator
+        (("forward", "--random", "3037000500x3037000500x3"), "1x3037000500x3037000500x3"),
+        (("bench", "--batch", "4611686018427387904"), "4611686018427387904x224x224x3"),
+    ],
+    ids=["forward-random", "bench-batch"],
+)
+def test_unallocatable_input_exits_2_naming_the_shape(capsys, micro_cfg_path, argv, shape):
+    code, out, err = run(capsys, argv[0], "--config", micro_cfg_path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot allocate a {shape} input: ") and err.count("\n") == 1, err
+
+
 def _json_paths(node, path=()):
     """The path of every object member and array entry below a JSON value."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()

@@ -47,10 +47,11 @@ from hiremlp.network import (
     set_norm_mode,
     trunc_normal,
 )
+from hiremlp.rearrange import PADDING_MODES
 from hiremlp.variants import micro_config, small_config, tiny_config
 from hiremlp.weights import load_tensors, save_tensors
 
-from oracles import erf_gelu, per_token_mlp, reference_forward, reference_trunc_normal
+from oracles import erf_gelu, per_token_mlp, reference_forward, reference_trunc_normal, unfold_one_axis
 
 
 def micro_model(seed=0):
@@ -163,6 +164,37 @@ def test_patch_embed_non_overlapping_equals_reshape_oracle(rng):
     got = np.asarray(patch_embed(x, p))
     want = x.reshape(1, 3, k, 2, k, c).transpose(0, 1, 3, 2, 4, 5).reshape(1, 3, 2, k * k * c)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extent=st.integers(1, 20),
+    stride=st.integers(1, 4),
+    overlap=st.integers(0, 4),
+    axis=st.sampled_from([1, 2]),
+    padding=st.sampled_from(PADDING_MODES),
+)
+def test_unfold_bitwise_equals_uncached_oracle(extent, stride, overlap, axis, padding):
+    kernel, out = stride + overlap, -(-extent // stride)  # as patch_embed calls it
+    shape = [2, 3, 3, 4]
+    shape[axis] = extent
+    x = np.random.default_rng(extent).standard_normal(shape)
+    if padding == "reflect" and extent == 1 and (out - 1) * stride + kernel > 1:
+        with pytest.raises(InvalidInputError):
+            network._unfold(x, axis, out, kernel, stride, padding)
+        return
+    want = unfold_one_axis(x, axis, out, kernel, stride, padding)
+    for _ in range(2):  # the first call may build the window, the second reads the cache
+        got = network._unfold(x, axis, out, kernel, stride, padding)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_unfold_window_cache_is_read_only():
+    for padding in PADDING_MODES:
+        _pad, window = network._unfold_window(7, 2, 7, 4, padding)
+        assert network._unfold_window(7, 2, 7, 4, padding)[1] is window
+        with pytest.raises(ValueError):
+            window[0] = 1
 
 
 def test_patch_embed_ceil_division(rng):
@@ -484,6 +516,25 @@ def test_bind_tree_one_aliasing_leaf_per_model_tensor():
     for i, arr in enumerate(arrays):
         assert tape.nodes[i].op == "leaf"
         assert T.Var(tape, i).value is arr
+
+
+def test_map_tree_rebuild_checks_shapes_and_shares_untouched_subtrees():
+    model = micro_model()
+    bias = "stages.0.blocks.0.channel_mlp.fc2.bias"
+
+    def replace(value):
+        return lambda path, node: value if path == bias else node
+
+    for _ in range(2):  # the second walk reads the cached field names
+        with pytest.raises(ConfigError, match="LinearParams: bias"):
+            T.map_tree(model, replace(np.zeros(3, dtype=np.float32)))
+        good = np.ones_like(model_tensors(model)[bias])
+        new = T.map_tree(model, replace(good))
+        assert model_tensors(new)[bias] is good
+        assert new.stages[0].blocks[0].hire is model.stages[0].blocks[0].hire
+        assert new.stages[0].embed is model.stages[0].embed
+        assert new.stages[1] is model.stages[1] and new.head is model.head
+        assert T.map_tree(model, lambda path, node: node) is model
 
 
 def test_set_norm_mode_keeps_every_array_object():
