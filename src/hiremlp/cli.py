@@ -18,14 +18,19 @@ import numpy as np
 from .accounting import ablation_cost_sweep, count_config
 from .errors import HireMlpError, UsageError
 from .invariants import (
+    FC_SWEEP_ORDERING,
     GRAD_TOLERANCE,
+    budget_checks,
+    cyclic_order_failure,
+    fc_sweep_ordered,
+    manner_permutations,
     model_gradcheck,
+    pad_crop_failure,
     preserves_cyclic_order,
     run_invariants,
-    token_permutation,
 )
 from .network import assemble_model, build_model, forward, load_config, load_model_weights
-from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, cross_rearrange, crop_pad, partition_pad
+from .rearrange import PADDING_MODES, RegionSpec, partition_pad
 from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, small_config
 from .weights import load_tensors
 
@@ -89,20 +94,9 @@ def cmd_summary(args) -> int:
         "params": report.params,
         "flops": report.flops,
     }
-    checks = []
-    ref_p, ref_f = cfg.meta.get("reference_params"), cfg.meta.get("reference_flops")
-    if ref_p and ref_f:
-        for label, got, ref in (("params", report.params, ref_p), ("flops", report.flops, ref_f)):
-            dev = got / ref - 1
-            checks.append(
-                {
-                    "target": label,
-                    "reference": ref,
-                    "measured": got,
-                    "deviation": dev,
-                    "pass": abs(dev) <= BUDGET_TOLERANCE,
-                }
-            )
+    reference = cfg.meta.get("reference_params"), cfg.meta.get("reference_flops")
+    checks = budget_checks((report.params, report.flops), reference) if all(reference) else []
+    if checks:
         payload["budget_checks"] = checks
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -215,17 +209,16 @@ def cmd_gradcheck(args) -> int:
 def _ablate_padding(args, out: dict) -> bool:
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((1, 7, 7, 4)).astype(np.float32)
-    rows, ok = [], True
+    rows = []
     for mode in PADDING_MODES:
-        xp = partition_pad(x, RegionSpec("height", 3, mode))
-        identity = bool(np.array_equal(crop_pad(xp, "height", 7), x))
-        ok &= identity
+        spec = RegionSpec("height", 3, mode)
+        xp = np.asarray(partition_pad(x, spec))
         rows.append(
             {
                 "mode": mode,
-                "padded_extent": np.asarray(xp).shape[1],
-                "crop_identity": identity,
-                "checksum": float(np.asarray(xp).sum()),
+                "padded_extent": xp.shape[1],
+                "crop_identity": pad_crop_failure(x, spec) is None,
+                "checksum": float(xp.sum()),
             }
         )
     out["rows"] = rows
@@ -237,23 +230,15 @@ def _ablate_padding(args, out: dict) -> bool:
                 f"{r['mode']:>10}  {extent:>11}  "
                 f"{str(r['crop_identity']):>13}  {r['checksum']:>14.5f}"
             )
-    return ok
+    return all(r["crop_identity"] for r in rows)
 
 
 def _ablate_manner(args, out: dict) -> bool:
     extent, region = 12, 3
-    s = 2
-    shifted_perm = token_permutation(
-        extent, lambda v: cross_rearrange(v, "height", ShiftSpec(s), region)
-    )
-    shuffle_perm = token_permutation(
-        extent, lambda v: cross_rearrange(v, "height", ShiftSpec(0, "shuffle"), region)
-    )
-    shifted_ok = preserves_cyclic_order(shifted_perm)
-    shuffle_breaks = not preserves_cyclic_order(shuffle_perm)
+    perms = manner_permutations(extent, region, 2)
     out["rows"] = [
-        {"manner": "shifted", "permutation": shifted_perm.tolist(), "preserves_cyclic_order": shifted_ok},
-        {"manner": "shuffle", "permutation": shuffle_perm.tolist(), "preserves_cyclic_order": not shuffle_breaks},
+        {"manner": manner, "permutation": perm.tolist(), "preserves_cyclic_order": preserves_cyclic_order(perm)}
+        for manner, perm in perms.items()
     ]
     if not args.json:
         print(f"token axis: {extent} tokens, {extent // region} regions of {region}")
@@ -262,7 +247,7 @@ def _ablate_manner(args, out: dict) -> bool:
                 f"{r['manner']:>8}: perm {r['permutation']}  "
                 f"cyclic order {'preserved' if r['preserves_cyclic_order'] else 'BROKEN'}"
             )
-    return shifted_ok and shuffle_breaks
+    return cyclic_order_failure(perms) is None
 
 
 def _ablate_shift(args, out: dict) -> bool:
@@ -290,29 +275,23 @@ def _ablate_shift(args, out: dict) -> bool:
 
 
 def _ablate_fc(args, out: dict) -> bool:
-    sweep = ablation_cost_sweep(small_config())
-    rows = []
-    for n, rep in sweep:
-        ref_p, ref_f = FC_SWEEP_REFERENCE[n]
+    counts = {n: (rep.params, rep.flops) for n, rep in ablation_cost_sweep(small_config())}
+    rows, within = [], True
+    for n, (params, flops) in counts.items():
+        p, f = budget_checks((params, flops), FC_SWEEP_REFERENCE[n])
+        within &= p["pass"] and f["pass"]
         rows.append(
             {
                 "fc_layers": n,
-                "params": rep.params,
-                "flops": rep.flops,
-                "reference_params": ref_p,
-                "reference_flops": ref_f,
-                "params_deviation": rep.params / ref_p - 1,
-                "flops_deviation": rep.flops / ref_f - 1,
+                "params": params,
+                "flops": flops,
+                "reference_params": p["reference"],
+                "reference_flops": f["reference"],
+                "params_deviation": p["deviation"],
+                "flops_deviation": f["deviation"],
             }
         )
-    p = {r["fc_layers"]: r["params"] for r in rows}
-    f = {r["fc_layers"]: r["flops"] for r in rows}
-    ordering = p[1] > p[2] > p[3] and f[1] > f[2]
-    within = all(
-        abs(r["params_deviation"]) <= BUDGET_TOLERANCE
-        and abs(r["flops_deviation"]) <= BUDGET_TOLERANCE
-        for r in rows
-    )
+    ordering = fc_sweep_ordered(counts)
     out["rows"] = rows
     out["ordering_ok"] = ordering
     out["within_tolerance"] = within
@@ -323,7 +302,7 @@ def _ablate_fc(args, out: dict) -> bool:
                 f"{r['fc_layers']:>3}  {_human(r['params']):>10}  {r['params_deviation']:>+8.2%}  "
                 f"{_human(r['flops']):>10}  {r['flops_deviation']:>+8.2%}"
             )
-        print(f"ordering params(1) > params(2) > params(3): {ordering}")
+        print(f"ordering {FC_SWEEP_ORDERING}: {ordering}")
         print(f"all entries within {BUDGET_TOLERANCE:.0%} of reference: {within}")
     return ordering and within
 

@@ -3,6 +3,11 @@
 Each check draws `seeds` randomized cases from a seeded generator and
 returns (passed, detail). Scopes mirror the module layout: tensor,
 rearrange, hire, network, accounting.
+
+Each claim of the paper has one per-case function here, which the checks,
+the CLI and the acceptance suite call: `roundtrip_failure`,
+`cyclic_order_failure`, `pad_crop_failure`, `budget_checks` and
+`fc_sweep_ordered`.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .rearrange import (
     padded_extent,
     partition_pad,
 )
-from .variants import micro_config
+from .variants import BUDGET_TOLERANCE, micro_config
 
 
 @dataclass
@@ -75,6 +80,61 @@ def _rand_map(rng, n=None, h=None, w=None, c=None, dtype=np.float32):
 # ---------------------------------------------------------------------------
 
 
+def roundtrip_failure(x: np.ndarray, rearrange: Callable, restore: Callable) -> str | None:
+    """Bijection claim on one case: rearrange only moves x's elements (it keeps
+    their multiset) and restore(rearrange(x)) == x bitwise. None when both
+    hold, else what failed."""
+    y = np.asarray(rearrange(x))
+    if not np.array_equal(np.sort(y, axis=None), np.sort(np.asarray(x), axis=None)):
+        return "rearrangement changed the element multiset"
+    if not np.array_equal(restore(y), x):
+        return "restore o rearrange is not the identity"
+    return None
+
+
+def inner_roundtrip_failure(x: np.ndarray, spec: RegionSpec) -> str | None:
+    """The bijection claim for the inner-region level, padding included: the
+    pad/crop claim on x, then roundtrip_failure on the padded map."""
+    return pad_crop_failure(x, spec) or roundtrip_failure(
+        partition_pad(x, spec), lambda v: inner_rearrange(v, spec), lambda v: inner_restore(v, spec)
+    )
+
+
+def cross_roundtrip_failure(x: np.ndarray, axis: str, shift: ShiftSpec, region_size: int) -> str | None:
+    """The bijection claim for the cross-region level (roundtrip_failure); the
+    shifted manner ignores region_size."""
+    return roundtrip_failure(
+        x, lambda v: cross_rearrange(v, axis, shift, region_size), lambda v: cross_restore(v, axis, shift, region_size)
+    )
+
+
+def padding_defined(extent: int, region_size: int, mode: str) -> bool:
+    """False only where partition_pad must reject the input: reflect padding
+    of a one-token axis that needs padding."""
+    return not (mode == "reflect" and extent == 1 and extent % region_size)
+
+
+def pad_crop_failure(x: np.ndarray, spec: RegionSpec) -> str | None:
+    """Pad/crop claim on one case: partition_pad extends spec.axis to the next
+    multiple of the region size and crop_pad takes it back to x bitwise.
+    Where padding is undefined (padding_defined), partition_pad must raise
+    InvalidInputError instead. None when that holds, else what failed."""
+    ax, mode = AXIS_INDEX[spec.axis], spec.padding_mode
+    extent = x.shape[ax]
+    if not padding_defined(extent, spec.region_size, mode):
+        try:
+            partition_pad(x, spec)
+        except InvalidInputError:
+            return None
+        return f"{mode} padding of a one-token axis was not rejected"
+    xp = partition_pad(x, spec)
+    if np.asarray(xp).shape[ax] != padded_extent(extent, spec.region_size):
+        return f"padded extent mismatch ({mode})"
+    if not np.array_equal(crop_pad(xp, spec.axis, extent), x):
+        return f"pad/crop not identity ({mode})"
+    return None
+
+
 def check_inner_roundtrip(seeds: int, rng) -> tuple[bool, str]:
     """restore(rearrange(x)) == x bitwise, with padding handled outside."""
     for _ in range(seeds):
@@ -82,17 +142,11 @@ def check_inner_roundtrip(seeds: int, rng) -> tuple[bool, str]:
         axis = rng.choice(["height", "width"])
         m = int(rng.integers(1, 6))
         mode = rng.choice(PADDING_MODES)
-        extent = x.shape[1 if axis == "height" else 2]
-        if mode == "reflect" and extent == 1 and extent % m:
+        if not padding_defined(x.shape[AXIS_INDEX[axis]], m, mode):
             mode = "circular"
-        spec = RegionSpec(axis, m, mode)
-        xp = partition_pad(x, spec)
-        y = inner_rearrange(xp, spec)
-        back = crop_pad(inner_restore(y, spec), axis, extent)
-        if not np.array_equal(back, x):
-            return False, f"inner roundtrip differs (axis={axis} m={m} mode={mode})"
-        if not np.array_equal(np.sort(y, axis=None), np.sort(np.asarray(xp), axis=None)):
-            return False, "inner rearrangement changed the element multiset"
+        failure = inner_roundtrip_failure(x, RegionSpec(axis, m, mode))
+        if failure:
+            return False, f"{failure} (axis={axis} m={m} mode={mode})"
     return True, f"{seeds} draws"
 
 
@@ -101,20 +155,13 @@ def check_cross_roundtrip(seeds: int, rng) -> tuple[bool, str]:
     for _ in range(seeds):
         x = _rand_map(rng)
         axis = rng.choice(["height", "width"])
-        extent = x.shape[1 if axis == "height" else 2]
+        extent = x.shape[AXIS_INDEX[axis]]
         s = int(rng.integers(0, extent))
-        spec = ShiftSpec(s, "shifted")
-        y = cross_rearrange(x, axis, spec)
-        if not np.array_equal(cross_restore(y, axis, spec), x):
-            return False, f"shifted roundtrip differs (s={s}, extent={extent})"
-        if not np.array_equal(np.sort(y, axis=None), np.sort(x, axis=None)):
-            return False, "shift changed the element multiset"
-        divisors = [d for d in range(1, extent + 1) if extent % d == 0]
-        m = int(rng.choice(divisors))
-        sh = ShiftSpec(0, "shuffle")
-        y2 = cross_rearrange(x, axis, sh, m)
-        if not np.array_equal(cross_restore(y2, axis, sh, m), x):
-            return False, f"shuffle roundtrip differs (m={m}, extent={extent})"
+        m = int(rng.choice([d for d in range(1, extent + 1) if extent % d == 0]))
+        for shift in (ShiftSpec(s, "shifted"), ShiftSpec(0, "shuffle")):
+            failure = cross_roundtrip_failure(x, axis, shift, m)
+            if failure:
+                return False, f"{failure} ({shift}, m={m}, extent={extent})"
     return True, f"{seeds} draws"
 
 
@@ -134,20 +181,33 @@ def check_shift_group_law(seeds: int, rng) -> tuple[bool, str]:
     return True, f"{seeds} draws"
 
 
-def token_permutation(extent: int, fn) -> np.ndarray:
-    """Image of each token index under a [*,E,1,1]-map rearrangement."""
-    x = np.arange(extent, dtype=np.float64).reshape(1, extent, 1, 1)
-    y = np.asarray(fn(x)).reshape(extent)
-    perm = np.empty(extent, dtype=int)
-    for pos, tok in enumerate(y):
-        perm[int(tok)] = pos
-    return perm
-
-
 def preserves_cyclic_order(perm: np.ndarray) -> bool:
     """successor(i) must land on successor(image(i)) modulo the extent."""
-    e = len(perm)
-    return all(perm[(i + 1) % e] == (perm[i] + 1) % e for i in range(e))
+    return np.array_equal(np.roll(perm, -1), (perm + 1) % len(perm))
+
+
+def manner_permutations(extent: int, region_size: int, step: int) -> dict[str, np.ndarray]:
+    """The image of each token of an axis of `extent` tokens in regions of
+    region_size, read off cross_rearrange for each manner: shifted by
+    `step`, and shuffle."""
+    tokens = np.arange(extent, dtype=np.float64).reshape(1, extent, 1, 1)
+    perms = {}
+    for manner, s in (("shifted", step), ("shuffle", 0)):
+        moved = np.asarray(cross_rearrange(tokens, "height", ShiftSpec(s, manner), region_size))
+        perms[manner] = np.empty(extent, dtype=int)
+        perms[manner][moved.reshape(extent).astype(int)] = np.arange(extent)
+    return perms
+
+
+def cyclic_order_failure(perms: dict[str, np.ndarray]) -> str | None:
+    """Cyclic-order claim on one case of manner_permutations: the shifted
+    manner keeps cyclic token order and the shuffle manner breaks it (given
+    two or more regions of two or more tokens). None if so, else what failed."""
+    if not preserves_cyclic_order(perms["shifted"]):
+        return "shifted manner broke cyclic order"
+    if preserves_cyclic_order(perms["shuffle"]):
+        return "shuffle manner preserved cyclic order"
+    return None
 
 
 def check_order_preservation(seeds: int, rng) -> tuple[bool, str]:
@@ -155,18 +215,10 @@ def check_order_preservation(seeds: int, rng) -> tuple[bool, str]:
     for _ in range(seeds):
         m = int(rng.integers(2, 5))
         g = int(rng.integers(2, 5))
-        extent = g * m
-        s = int(rng.integers(0, extent))
-        shifted = token_permutation(
-            extent, lambda x: cross_rearrange(x, "height", ShiftSpec(s), m)
-        )
-        if not preserves_cyclic_order(shifted):
-            return False, f"shifted manner broke cyclic order (s={s}, extent={extent})"
-        shuffled = token_permutation(
-            extent, lambda x: cross_rearrange(x, "height", ShiftSpec(0, "shuffle"), m)
-        )
-        if preserves_cyclic_order(shuffled):
-            return False, f"shuffle manner preserved cyclic order (g={g}, m={m})"
+        s = int(rng.integers(0, g * m))
+        failure = cyclic_order_failure(manner_permutations(g * m, m, s))
+        if failure:
+            return False, f"{failure} (g={g}, m={m}, s={s})"
     return True, f"{seeds} draws (g,h > 1)"
 
 
@@ -175,16 +227,11 @@ def check_pad_crop_identity(seeds: int, rng) -> tuple[bool, str]:
     for _ in range(seeds):
         x = _rand_map(rng)
         axis = rng.choice(["height", "width"])
-        extent = x.shape[1 if axis == "height" else 2]
         m = int(rng.integers(1, 6))
         for mode in PADDING_MODES:
-            if mode == "reflect" and extent == 1 and extent % m:
-                continue
-            xp = partition_pad(x, RegionSpec(axis, m, mode))
-            if np.asarray(xp).shape[1 if axis == "height" else 2] != padded_extent(extent, m):
-                return False, f"padded extent mismatch ({mode})"
-            if not np.array_equal(crop_pad(xp, axis, extent), x):
-                return False, f"pad/crop not identity ({mode})"
+            failure = pad_crop_failure(x, RegionSpec(axis, m, mode))
+            if failure:
+                return False, f"{failure} (axis={axis} m={m} extent={x.shape[AXIS_INDEX[axis]]})"
     return True, f"{seeds} draws x 4 modes"
 
 
@@ -663,6 +710,30 @@ def check_closed_form_reconciliation(seeds: int, rng) -> tuple[bool, str]:
         if got != want:
             return False, f"h={mh} w={mw} C={c} H={hh} W={ww}: traversal {got} != closed form {want}"
     return True, f"{seeds} divisible configs, integer equality"
+
+
+def budget_checks(measured: tuple[int, int], reference: tuple[float, float]) -> list[dict]:
+    """Budget claim on one case: measured (params, flops) each within
+    BUDGET_TOLERANCE of the published (params, flops). One record per
+    target, with its relative deviation and whether it passes."""
+    checks = []
+    for target, got, ref in zip(("params", "flops"), measured, reference):
+        dev = got / ref - 1
+        checks.append(
+            {"target": target, "reference": ref, "measured": got, "deviation": dev, "pass": abs(dev) <= BUDGET_TOLERANCE}
+        )
+    return checks
+
+
+FC_SWEEP_ORDERING = "params(1) > params(4) >= params(2) > params(3) and flops(1) > flops(2)"
+
+
+def fc_sweep_ordered(counts: dict[int, tuple[int, int]]) -> bool:
+    """FC-sweep claim: the (params, flops) of a variant with 1 to 4
+    bottleneck FCs, keyed by FC count, are ordered as FC_SWEEP_ORDERING
+    states, as in the published Small sweep."""
+    (p1, f1), (p2, f2), (p3, _), (p4, _) = (counts[n] for n in (1, 2, 3, 4))
+    return p1 > p4 >= p2 > p3 and f1 > f2
 
 
 def check_resolution_scaling(seeds: int, rng) -> tuple[bool, str]:

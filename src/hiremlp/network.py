@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -150,10 +151,13 @@ _JSON_NAMES = {
 
 
 def _typed(v, kind: type, where: str):
-    """v when it is of the JSON kind `kind` (int, str, list or dict), else a
-    ConfigError naming `where`; an integral float counts as an int."""
+    """v when it is of the JSON kind `kind` (int, float, str, list or dict),
+    else a ConfigError naming `where`; an integral float counts as an int,
+    and an int as a number (float)."""
     if kind is int and isinstance(v, float) and v.is_integer():
         return int(v)
+    if kind is float and isinstance(v, int) and not isinstance(v, bool):
+        return v
     if not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
         got = _JSON_NAMES.get(type(v), type(v).__name__)
         raise ConfigError(f"{where}: expected {_JSON_NAMES[kind]}, got {got}")
@@ -168,6 +172,17 @@ def _field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
             raise ConfigError(f"{path}: missing")
         return default
     return _typed(obj[key], kind, path)
+
+
+def _meta(d: dict) -> dict:
+    """d's optional meta object, checked where the CLI reads it: a string
+    name, and reference budgets that are positive and fit a float."""
+    meta = dict(_field(d, "meta", dict, "", {}))
+    _field(meta, "name", str, "meta", "")
+    for key in ("reference_params", "reference_flops"):
+        if key in meta and not 0 < _typed(meta[key], float, f"meta.{key}") <= sys.float_info.max:
+            raise ConfigError(f"meta.{key}: expected a positive finite number, got {meta[key]}")
+    return meta
 
 
 def _objects(d: dict, key: str) -> list[tuple[dict, str]]:
@@ -204,7 +219,7 @@ def config_from_dict(d: dict) -> ModelConfig:
         num_classes=_field(d, "num_classes", int, "", 1000),
         bottleneck_fcs=_field(d, "bottleneck_fcs", int, "", 2),
         shift_phase=_field(d, "shift_phase", int, "", 1),
-        meta=dict(_field(d, "meta", dict, "", {})),
+        meta=_meta(d),
     )
     cfg.validate()
     return cfg

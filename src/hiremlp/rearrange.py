@@ -166,28 +166,17 @@ def inner_restore(y: T.ArrayLike, spec: RegionSpec) -> T.ArrayLike:
     return T.reshape(z, (n, d1, d2 * m, c))
 
 
-def _shift_index(extent: int, step: int) -> np.ndarray:
-    # token i moves to (i + step) mod extent, so position i reads i - step
-    return (np.arange(extent) - step) % extent
+def cross_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
+    """Source position of every token after cross_rearrange along an axis of `extent`.
 
-
-def _shuffle_index(extent: int, region_size: int) -> np.ndarray:
-    g = extent // region_size
-    return np.arange(extent).reshape(g, region_size).T.ravel()
-
-
-def _shuffle_inverse_index(extent: int, region_size: int) -> np.ndarray:
-    g = extent // region_size
-    return np.arange(extent).reshape(region_size, g).T.ravel()
-
-
-def _reduced_step(extent: int, shift: ShiftSpec, region_size: int | None) -> int | None:
-    """A shifted manner's step modulo extent (a full cycle is the identity);
-    None for the shuffle manner, once extent and region size are checked."""
+    A shifted manner's step is taken modulo extent (a full cycle is the
+    identity); the shuffle manner needs a region size that divides extent.
+    """
     if shift.manner == "shifted":
         if extent < 1:
             raise InvalidInputError("cross_rearrange: cannot shift an empty axis")
-        return shift.step % extent
+        # token i moves to (i + step) mod extent, so position i reads i - step
+        return (np.arange(extent) - shift.step % extent) % extent
     if region_size is None:
         raise ConfigError("cross_rearrange: shuffle manner needs a region size")
     if extent % region_size != 0:
@@ -195,23 +184,15 @@ def _reduced_step(extent: int, shift: ShiftSpec, region_size: int | None) -> int
             f"cross_rearrange: extent {extent} not divisible by region size "
             f"{region_size} (shuffle manner)"
         )
-    return None
-
-
-def cross_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
-    """Source position of every token after cross_rearrange along an axis of `extent`."""
-    step = _reduced_step(extent, shift, region_size)
-    if step is None:
-        return _shuffle_index(extent, region_size)
-    return _shift_index(extent, step)
+    return np.arange(extent).reshape(extent // region_size, region_size).T.ravel()
 
 
 def cross_restore_index(extent: int, shift: ShiftSpec, region_size: int | None = None) -> np.ndarray:
-    """Source position of every token after cross_restore: the inverse of cross_index."""
-    step = _reduced_step(extent, shift, region_size)
-    if step is None:
-        return _shuffle_inverse_index(extent, region_size)
-    return _shift_index(extent, -step)
+    """Source position of every token after cross_restore: the inverse permutation of cross_index."""
+    idx = cross_index(extent, shift, region_size)
+    inverse = np.empty_like(idx)
+    inverse[idx] = np.arange(extent)
+    return inverse
 
 
 def cross_rearrange(

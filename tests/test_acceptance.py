@@ -11,28 +11,23 @@ import numpy as np
 
 from hiremlp.accounting import ablation_cost_sweep, count_config
 from hiremlp.invariants import (
+    FC_SWEEP_ORDERING,
     GRAD_TOLERANCE,
     block_gradcheck,
+    budget_checks,
     check_closed_form_reconciliation,
     check_translation_equivariance,
+    cross_roundtrip_failure,
+    cyclic_order_failure,
+    fc_sweep_ordered,
+    inner_roundtrip_failure,
+    manner_permutations,
     model_gradcheck,
-    preserves_cyclic_order,
-    token_permutation,
+    padding_defined,
 )
 from hiremlp.network import build_model, disable_cross, forward
-from hiremlp.rearrange import (
-    PADDING_MODES,
-    RegionSpec,
-    ShiftSpec,
-    cross_rearrange,
-    cross_restore,
-    crop_pad,
-    inner_rearrange,
-    inner_restore,
-    partition_pad,
-)
+from hiremlp.rearrange import PADDING_MODES, RegionSpec, ShiftSpec
 from hiremlp.variants import (
-    BUDGET_TOLERANCE,
     FC_SWEEP_REFERENCE,
     REFERENCE_BUDGETS,
     VARIANTS,
@@ -67,32 +62,16 @@ def test_criterion_1_permutation_suite():
         m = int(rng.integers(1, 6))
         s = int(rng.integers(0, extent))
         mode = str(rng.choice(PADDING_MODES))
-        if mode == "reflect" and extent == 1 and extent % m:
+        if not padding_defined(extent, m, mode):
             mode = "circular"
-        spec = RegionSpec(axis, m, mode)
-
-        # inner level (with padding handled around it)
-        xp = partition_pad(x, spec)
-        y = inner_rearrange(xp, spec)
-        assert np.array_equal(
-            np.sort(np.asarray(y), axis=None), np.sort(np.asarray(xp), axis=None)
-        ), "element multiset not preserved (inner)"
-        assert np.array_equal(crop_pad(inner_restore(y, spec), axis, extent), x), "inner roundtrip"
-
-        # cross level, shifted manner
-        sh = ShiftSpec(s)
-        z = cross_rearrange(x, axis, sh)
-        assert np.array_equal(
-            np.sort(np.asarray(z), axis=None), np.sort(x, axis=None)
-        ), "element multiset not preserved (cross)"
-        assert np.array_equal(cross_restore(z, axis, sh), x), "cross roundtrip"
-
-        # cross level, shuffle manner (divisible factorizations only)
-        divisors = [d for d in range(1, extent + 1) if extent % d == 0]
-        md = int(rng.choice(divisors))
-        sp = ShiftSpec(0, "shuffle")
-        z2 = cross_rearrange(x, axis, sp, md)
-        assert np.array_equal(cross_restore(z2, axis, sp, md), x), "shuffle roundtrip"
+        # shuffle manner: divisible factorizations only
+        md = int(rng.choice([d for d in range(1, extent + 1) if extent % d == 0]))
+        failure = (
+            inner_roundtrip_failure(x, RegionSpec(axis, m, mode))
+            or cross_roundtrip_failure(x, axis, ShiftSpec(s), md)
+            or cross_roundtrip_failure(x, axis, ShiftSpec(0, "shuffle"), md)
+        )
+        assert failure is None, f"{failure} (axis={axis} m={m} mode={mode} s={s} shuffle m={md})"
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -126,10 +105,9 @@ def test_criterion_3_budget_reproduction():
         cfg = VARIANTS[name]()
         assert cfg.meta.get("provenance") == "reconstructed"
         rep = count_config(cfg, 224, 224)
-        ref_p, ref_f = REFERENCE_BUDGETS[name]
-        dp, df = rep.params / ref_p - 1, rep.flops / ref_f - 1
-        ok &= abs(dp) <= BUDGET_TOLERANCE and abs(df) <= BUDGET_TOLERANCE
-        lines.append(f"{name} params {dp:+.2%} flops {df:+.2%}")
+        dp, df = budget_checks((rep.params, rep.flops), REFERENCE_BUDGETS[name])
+        ok &= dp["pass"] and df["pass"]
+        lines.append(f"{name} params {dp['deviation']:+.2%} flops {df['deviation']:+.2%}")
     report(3, ok, "reconstructed configs vs published budgets at 224x224: " + ", ".join(lines))
 
 
@@ -139,22 +117,14 @@ def test_criterion_3_budget_reproduction():
 
 
 def test_criterion_4_fc_sweep():
-    sweep = dict(ablation_cost_sweep(small_config()))
-    ok = True
+    sweep = {n: (rep.params, rep.flops) for n, rep in ablation_cost_sweep(small_config())}
+    ok = ordering = fc_sweep_ordered(sweep)
     lines = []
-    for n, (ref_p, ref_f) in FC_SWEEP_REFERENCE.items():
-        dp = sweep[n].params / ref_p - 1
-        df = sweep[n].flops / ref_f - 1
-        ok &= abs(dp) <= BUDGET_TOLERANCE and abs(df) <= BUDGET_TOLERANCE
-        lines.append(f"{n}FC {dp:+.2%}/{df:+.2%}")
-    p = {n: rep.params for n, rep in sweep.items()}
-    ordering = p[1] > p[4] >= p[2] > p[3]
-    ok &= ordering
-    report(
-        4,
-        ok,
-        f"params ordering 1FC > 4FC >= 2FC > 3FC: {ordering}; deviations " + ", ".join(lines),
-    )
+    for n, counts in sweep.items():
+        dp, df = budget_checks(counts, FC_SWEEP_REFERENCE[n])
+        ok &= dp["pass"] and df["pass"]
+        lines.append(f"{n}FC {dp['deviation']:+.2%}/{df['deviation']:+.2%}")
+    report(4, ok, f"ordering {FC_SWEEP_ORDERING}: {ordering}; deviations " + ", ".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +200,11 @@ def test_criterion_7_structural_ablations():
     )
 
     # shifted manner preserves cyclic order; shuffle manner provably does not
-    order_ok = True
-    for g, m in ((2, 2), (3, 4), (4, 3)):
-        extent = g * m
-        for s in range(extent):
-            perm = token_permutation(
-                extent, lambda v, s=s: cross_rearrange(v, "height", ShiftSpec(s), m)
-            )
-            order_ok &= preserves_cyclic_order(perm)
-        shuffled = token_permutation(
-            extent, lambda v: cross_rearrange(v, "height", ShiftSpec(0, "shuffle"), m)
-        )
-        order_ok &= not preserves_cyclic_order(shuffled)
+    order_ok = all(
+        cyclic_order_failure(manner_permutations(g * m, m, s)) is None
+        for g, m in ((2, 2), (3, 4), (4, 3))
+        for s in range(g * m)
+    )
 
     report(
         7,

@@ -433,10 +433,15 @@ def test_config_validation_lists_violations():
         (lambda d: d.update(expansion_ratio=[2, 2, True, 2]), "expansion_ratio[2]",
          "expected an integer, got a boolean"),
         (lambda d: d.update(meta="x"), "meta", "expected an object, got a string"),
+        (lambda d: d.update(meta={"reference_params": "12"}), "meta.reference_params",
+         "expected a number, got a string"),
+        (lambda d: d.update(meta={"reference_flops": 0}), "meta.reference_flops",
+         "expected a positive finite number, got 0"),
+        (lambda d: d.update(meta={"name": ["x"]}), "meta.name", "expected a string, got an array"),
     ],
     ids=[
         "stages-int", "channels-str", "channels-list", "depth-missing", "embed-int", "ratio-bool",
-        "meta-str",
+        "meta-str", "reference-params-str", "reference-flops-0", "name-list",
     ],
 )
 def test_config_type_error_names_file_and_json_path(tmp_path, edit, where, message):

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiremlp.errors import ConfigError, InvalidInputError, ShapeError
-from hiremlp.invariants import preserves_cyclic_order, token_permutation
+from hiremlp.invariants import (
+    cross_roundtrip_failure,
+    cyclic_order_failure,
+    inner_roundtrip_failure,
+    manner_permutations,
+    pad_crop_failure,
+    roundtrip_failure,
+)
 from hiremlp.rearrange import (
     AXIS_INDEX,
     PADDING_MODES,
@@ -17,7 +24,6 @@ from hiremlp.rearrange import (
     crop_pad,
     inner_rearrange,
     inner_restore,
-    padded_extent,
     partition_pad,
 )
 
@@ -97,15 +103,8 @@ def test_crop_pad_shape_check(rng):
     seed=st.integers(0, 10_000),
 )
 def test_pad_then_crop_is_identity(h, m, mode, seed):
-    r = np.random.default_rng(seed)
-    x = fmap(r, h=h)
-    if mode == "reflect" and h == 1 and padded_extent(h, m) > h:
-        with pytest.raises(InvalidInputError):
-            partition_pad(x, RegionSpec("height", m, mode))
-        return
-    xp = partition_pad(x, RegionSpec("height", m, mode))
-    assert np.asarray(xp).shape[1] == padded_extent(h, m)
-    np.testing.assert_array_equal(crop_pad(xp, "height", h), x)
+    x = fmap(np.random.default_rng(seed), h=h)
+    assert pad_crop_failure(x, RegionSpec("height", m, mode)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +148,7 @@ def test_inner_requires_divisible(rng):
 
 
 def test_inner_restore_is_exact_inverse_6_5_3(rng):
-    x = fmap(rng, h=6, w=5, c=3)
-    spec = RegionSpec("height", 3)
-    np.testing.assert_array_equal(inner_restore(inner_rearrange(x, spec), spec), x)
+    assert inner_roundtrip_failure(fmap(rng, h=6, w=5, c=3), RegionSpec("height", 3)) is None
 
 
 def test_inner_restore_zeros(rng):
@@ -178,16 +175,15 @@ def test_inner_restore_shape_error(rng):
     seed=st.integers(0, 10_000),
 )
 def test_inner_roundtrip_random_shapes(n, h, w, c, m, axis, seed):
-    r = np.random.default_rng(seed)
-    x = fmap(r, n=n, h=h, w=w, c=c)
-    spec = RegionSpec(axis, m, "circular")
-    xp = partition_pad(x, spec)
-    y = inner_rearrange(xp, spec)
-    # bijection on the padded map: multiset of values is preserved exactly
-    np.testing.assert_array_equal(
-        np.sort(np.asarray(y), axis=None), np.sort(np.asarray(xp), axis=None)
-    )
-    np.testing.assert_array_equal(crop_pad(inner_restore(y, spec), axis, h if axis == "height" else w), x)
+    x = fmap(np.random.default_rng(seed), n=n, h=h, w=w, c=c)
+    assert inner_roundtrip_failure(x, RegionSpec(axis, m, "circular")) is None
+
+
+def test_roundtrip_claim_fails_on_a_map_that_duplicates_a_token(rng):
+    x = fmap(rng, h=5)
+    duplicate = [0, 0, 2, 3, 4]  # token 1 is lost, token 0 appears twice
+    failure = roundtrip_failure(x, lambda v: v[:, duplicate], lambda v: v)
+    assert failure == "rearrangement changed the element multiset"
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +240,7 @@ def test_cross_step_is_taken_modulo_extent(rng):
 def test_cross_restore_inverse_all_steps(rng):
     x = fmap(rng, h=6)
     for s in range(6):
-        spec = ShiftSpec(s)
-        np.testing.assert_array_equal(
-            cross_restore(cross_rearrange(x, "height", spec), "height", spec), x
-        )
+        assert cross_roundtrip_failure(x, "height", ShiftSpec(s), 1) is None
 
 
 def test_cross_restore_s0_identity(rng):
@@ -263,10 +256,7 @@ def test_shuffle_matches_transpose_oracle(rng):
 
 
 def test_shuffle_roundtrip_h6_m2(rng):
-    x = fmap(rng, h=6)
-    spec = ShiftSpec(0, "shuffle")
-    y = cross_rearrange(x, "height", spec, 2)
-    np.testing.assert_array_equal(cross_restore(y, "height", spec, 2), x)
+    assert cross_roundtrip_failure(fmap(rng, h=6), "height", ShiftSpec(0, "shuffle"), 2) is None
 
 
 def test_shuffle_needs_divisible_extent(rng):
@@ -300,15 +290,12 @@ def test_cross_group_law(h, s1, s2, seed):
 @given(g=st.integers(2, 5), m=st.integers(2, 5), s=st.integers(0, 24))
 def test_shifted_preserves_cyclic_order_shuffle_breaks_it(g, m, s):
     extent = g * m
-    s = s % extent
-    shifted = token_permutation(
-        extent, lambda v: cross_rearrange(v, "height", ShiftSpec(s), m)
-    )
-    assert preserves_cyclic_order(shifted)
-    shuffled = token_permutation(
-        extent, lambda v: cross_rearrange(v, "height", ShiftSpec(0, "shuffle"), m)
-    )
-    assert not preserves_cyclic_order(shuffled)
+    perms = manner_permutations(extent, m, s % extent)
+    assert cyclic_order_failure(perms) is None
+    # the claim fails on an order-reversing map, and on a shuffle that keeps order
+    reversed_order = {**perms, "shifted": perms["shifted"][::-1]}
+    assert cyclic_order_failure(reversed_order) == "shifted manner broke cyclic order"
+    assert cyclic_order_failure({**perms, "shuffle": perms["shifted"]}) == "shuffle manner preserved cyclic order"
 
 
 def test_spec_validation():
