@@ -1,6 +1,8 @@
 """Command-line surface: summary, forward, invariants, gradcheck, ablate, bench.
 
-Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error.
+Exit codes: 0 success, 1 invariant/acceptance failure (including a failed
+budget check in `summary`), 2 usage/config error, 3 any other error, which
+prints one `error: <Type>: <message>` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ def cmd_summary(args) -> int:
     checks = budget_checks((report.params, report.flops), reference) if all(reference) else []
     if checks:
         payload["budget_checks"] = checks
+    code = 0 if all(c["pass"] for c in checks) else 1
     if args.json:
         print(json.dumps(payload, indent=2))
-        return 0
+        return code
     print(f"config: {payload['name']}  (input {h}x{w})")
     print(f"{'stage':>5}  {'depth':>5}  {'channels':>8}  {'region h/w':>10}  {'step':>4}  {'padding':>9}  {'params':>10}  {'flops':>10}")
     for i, st in enumerate(cfg.stages):
@@ -116,7 +119,7 @@ def cmd_summary(args) -> int:
             f"budget {c['target']}: {_human(c['measured'])} vs reference "
             f"{_human(c['reference'])} ({c['deviation']:+.2%}) ... {verdict}"
         )
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +463,9 @@ def main(argv=None) -> int:
     except HireMlpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -98,14 +98,15 @@ class HireBranchConfig:
 @functools.lru_cache(maxsize=256)
 def _branch_gathers(
     extent: int, region: RegionSpec, shift: ShiftSpec | None
-) -> tuple[np.ndarray | None, int, np.ndarray | None]:
+) -> tuple[T.IndexMap | None, int, T.IndexMap | None]:
     """(gather in, padded extent, gather out) of a branch along an axis of `extent`.
 
     Gather in is the shift composed with a non-zero padding: position i of
     the padded axis reads x[shift[pad[i]]]; it is None with neither. Gather
     out reads the restored tokens straight from the padded axis, so it
     crops as it restores; it is None without a shift, and the branch then
-    only crops. The maps are cached, so they are read-only.
+    only crops. The maps are cached, so they are read-only IndexMaps,
+    checked against the extent each one reads once, here.
     """
     padded = padded_extent(extent, region.region_size)
     gather_in = None if shift is None else cross_index(extent, shift, region.region_size)
@@ -113,10 +114,14 @@ def _branch_gathers(
         pad = pad_index(extent, 0, padded - extent, region.padding_mode)
         gather_in = pad if gather_in is None else gather_in[pad]
     gather_out = None if shift is None else cross_restore_index(extent, shift, region.region_size)
-    for idx in (gather_in, gather_out):
-        if idx is not None:
-            idx.setflags(write=False)
-    return gather_in, padded, gather_out
+    return _index_map(gather_in, extent), padded, _index_map(gather_out, padded)
+
+
+def _index_map(idx: np.ndarray | None, extent: int) -> T.IndexMap | None:
+    if idx is None:
+        return None
+    idx.setflags(write=False)
+    return T.IndexMap(idx, extent)
 
 
 def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:

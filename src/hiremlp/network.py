@@ -311,17 +311,20 @@ def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
 
 
 @functools.lru_cache(maxsize=256)
-def _unfold_window(extent: int, out: int, kernel: int, stride: int, padding: str) -> tuple[int, np.ndarray]:
+def _unfold_window(extent: int, out: int, kernel: int, stride: int, padding: str) -> tuple[int, T.IndexMap]:
     """(pad, window) of `_unfold`: the axis's total padding and its gather.
 
     The gather composes a non-zero padding; with zero padding it indexes
-    the padded axis. The window is cached, so it is read-only."""
+    the padded axis. The window is cached, so it is a read-only IndexMap,
+    checked against the extent it reads once, here."""
     pad = max(0, (out - 1) * stride + kernel - extent)
     window = (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
-    if padding != "zero" and pad:
+    if padding == "zero":
+        extent += pad
+    elif pad:
         window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
     window.setflags(write=False)
-    return pad, window
+    return pad, T.IndexMap(window, extent)
 
 
 def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, padding: str) -> T.ArrayLike:

@@ -64,9 +64,14 @@ BN_EPS = 1e-5
 
 
 class Var:
-    """Handle to one node of a tape-recorded computation."""
+    """Handle to one node of a tape-recorded computation.
+
+    Ops recognise a Var by its exact type, so Var admits no subclass."""
 
     __slots__ = ("tape", "idx")
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("Var cannot be subclassed: ops test operands by exact type")
 
     def __init__(self, tape: "Tape", idx: int):
         self.tape = tape
@@ -88,7 +93,7 @@ class Var:
 ArrayLike = Union[Array, Var]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     op: str
     value: Array
@@ -105,7 +110,7 @@ class Tape:
 
     def leaf(self, value: Array) -> Var:
         """Register an input/parameter array as a differentiable leaf."""
-        return self._record("leaf", np.asarray(value), (), {})
+        return self._record("leaf", value if type(value) is np.ndarray else np.asarray(value), (), {})
 
     def _record(self, op: str, value: Array, parents: tuple[int | None, ...], ctx: dict) -> Var:
         self.nodes.append(_Node(op, value, parents, ctx))
@@ -113,13 +118,20 @@ class Tape:
 
 
 def _value(x: ArrayLike) -> Array:
-    return x.value if isinstance(x, Var) else np.asarray(x)
+    """The array behind an op operand; only operands that are neither an
+    ndarray nor a Var go through np.asarray."""
+    kind = type(x)
+    if kind is np.ndarray:
+        return x
+    if kind is Var:
+        return x.tape.nodes[x.idx].value
+    return np.asarray(x)
 
 
 def _find_tape(*xs: ArrayLike | None) -> Tape | None:
     tape = None
     for x in xs:
-        if isinstance(x, Var):
+        if type(x) is Var:
             if tape is None:
                 tape = x.tape
             elif tape is not x.tape:
@@ -128,7 +140,7 @@ def _find_tape(*xs: ArrayLike | None) -> Tape | None:
 
 
 def _parent(x: ArrayLike | None) -> int | None:
-    return x.idx if isinstance(x, Var) else None
+    return x.idx if type(x) is Var else None
 
 
 # adjoint registry: op kind -> fn(node, grad_out) -> list[(parent_slot, grad)]
@@ -310,7 +322,9 @@ def _normal_cdf(x: Array) -> Array:
     if x.dtype != np.float32:
         t = np.asarray(x * _INV_SQRT2)
         erf = np.fromiter(map(math.erf, t.ravel().tolist()), np.float64, t.size)
-        return (0.5 * (1.0 + erf)).astype(t.dtype, copy=False).reshape(t.shape)
+        erf += 1.0  # 0.5 (1 + erf), in place
+        erf *= 0.5
+        return erf.astype(t.dtype, copy=False).reshape(t.shape)
     flat = x.reshape(-1)
     cdf = np.empty_like(flat)
     n = max(1, min(flat.size, _ERF32_BLOCK))
@@ -386,7 +400,9 @@ def batch_norm(
         xhat = x2 - x2.sum(axis=0) / count
         invstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=0) / count + BN_EPS)
         xhat *= invstd
-        out = (xhat * gv + bv).reshape(xv.shape)
+        out = xhat * gv
+        out += bv
+        out = out.reshape(xv.shape)
         ctx = {"xhat": xhat, "invstd": invstd, "gamma": gv}
     elif mode == "running":
         if running_mean is None or running_var is None:
@@ -462,20 +478,53 @@ def _adj_transpose(node: _Node, g: Array):
     return [(0, np.ascontiguousarray(g.transpose(inv)))]
 
 
-def take(x: ArrayLike, idx: Array, axis: int) -> ArrayLike:
+def _out_of_range(idx: Array, extent: int) -> bool:
+    return bool(idx.size) and (idx.min() < 0 or idx.max() >= extent)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexMap:
+    """Gather positions along an axis of `extent`, checked in range once, here.
+
+    `value` is a read-only intp array; `take` given an IndexMap checks only
+    that the axis it gathers from has this extent. Cached gathers (a hire
+    branch's, a patch embedding's windows) are IndexMaps.
+    """
+
+    value: Array
+    extent: int
+
+    def __post_init__(self):
+        idx = self.value
+        if type(idx) is not np.ndarray or idx.dtype != np.intp or idx.flags.writeable:
+            raise InvalidInputError("IndexMap: positions must be a read-only intp array")
+        if _out_of_range(idx, self.extent):
+            raise InvalidInputError(f"IndexMap: position out of range for extent {self.extent}")
+
+
+def take(x: ArrayLike, idx: Array | IndexMap, axis: int) -> ArrayLike:
     """Gather along one axis: out[..., i, ...] = x[..., idx[i], ...].
 
     idx may repeat entries (the adjoint scatter-adds), which is how the
     circular/reflect/replicate paddings and all token permutations are built.
+    Every entry of a plain index array is checked against the extent on each
+    call; an IndexMap was checked when it was built.
     """
     xv = _value(x)
-    idx = np.asarray(idx, dtype=np.intp)
     extent = xv.shape[axis]
-    if idx.size and (idx.min() < 0 or idx.max() >= extent):
-        raise InvalidInputError(
-            f"take: index out of range for extent {extent} along axis {axis}"
-        )
-    out = np.take(xv, idx, axis=axis)
+    if type(idx) is IndexMap:
+        if idx.extent != extent:
+            raise InvalidInputError(
+                f"take: index map built for extent {idx.extent}, not {extent}, along axis {axis}"
+            )
+        idx = idx.value
+    else:
+        idx = np.asarray(idx, dtype=np.intp)
+        if _out_of_range(idx, extent):
+            raise InvalidInputError(
+                f"take: index out of range for extent {extent} along axis {axis}"
+            )
+    out = xv.take(idx, axis=axis)
     tape = _find_tape(x)
     if tape is None:
         return out
@@ -486,7 +535,9 @@ def take(x: ArrayLike, idx: Array, axis: int) -> ArrayLike:
 def _adj_take(node: _Node, g: Array):
     idx, axis, in_shape = node.ctx["idx"], node.ctx["axis"], node.ctx["in_shape"]
     gx = np.zeros(in_shape, dtype=g.dtype)
-    np.add.at(np.moveaxis(gx, axis, 0), idx, np.moveaxis(g, axis, 0))
+    # both arrays get the same axis order, so each gradient entry sums the
+    # same terms in the same order as with moveaxis
+    np.add.at(gx.swapaxes(0, axis), idx, g.swapaxes(0, axis))
     return [(0, gx)]
 
 
@@ -608,7 +659,7 @@ class NormParams:
     mode: str = "running"  # "batch" | "running"
 
     def __post_init__(self):
-        if np.any(_value(self.running_var) < 0):
+        if (_value(self.running_var) < 0).any():
             raise ConfigError("NormParams: running variance must be nonnegative")
         if self.mode not in ("batch", "running"):
             raise ConfigError(f"NormParams: unknown mode '{self.mode}'")
@@ -656,14 +707,17 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
+def map_tree(obj, fn: Callable[[str, object], object], path: str = "", *, check: bool = True):
     """Rebuild a nested dataclass/list/tuple structure through fn.
 
     fn(path, node) sees every node, outermost first, with its dotted path,
     and returns the node's replacement; when it returns the node itself,
     the walk descends into it. A container whose children all come back
     unchanged is returned as is, so untouched arrays and subtrees are
-    shared with the input, never copied.
+    shared with the input, never copied. A rebuilt dataclass goes through
+    its constructor and so its checks; with check=False its fields are
+    set directly, for a fn whose every replacement passes the same checks
+    as the node it replaces.
     """
     new = fn(path, obj)
     if new is not obj:
@@ -679,24 +733,34 @@ def map_tree(obj, fn: Callable[[str, object], object], path: str = ""):
     out = {}
     changed = False
     for k, v in items:
-        out[k] = child = map_tree(v, fn, f"{prefix}{k}")
+        out[k] = child = map_tree(v, fn, f"{prefix}{k}", check=check)
         changed |= child is not v
     if not changed:
         return obj
     if isinstance(obj, (list, tuple)):
         return type(obj)(out.values())
-    return obj.__class__(**out)
+    if check:
+        return obj.__class__(**out)
+    new = object.__new__(obj.__class__)
+    for k, v in out.items():
+        object.__setattr__(new, k, v)  # also sets the fields of a frozen dataclass
+    return new
 
 
 def map_arrays(obj, fn: Callable[[Array], ArrayLike]):
-    """Rebuild a parameter tree with fn applied to every array (a Var's value)."""
+    """Rebuild a parameter tree with fn applied to every array (a Var's value).
+
+    fn must keep what the dataclass checks read, each array's shape and the
+    sign of its entries: the rebuild skips those checks (map_tree's
+    check=False), which the tree passed when it was built. A cast and a
+    tape leaf keep both."""
 
     def visit(_path: str, node):
         if isinstance(node, np.ndarray):
             return fn(node)
         return fn(node.value) if isinstance(node, Var) else node
 
-    return map_tree(obj, visit)
+    return map_tree(obj, visit, check=False)
 
 
 def iter_arrays(obj) -> list[tuple[str, Array]]:
@@ -719,7 +783,7 @@ def cast_tree(obj, dtype):
 
 def bind_tree(obj, tape: Tape):
     """Copy a parameter tree with every array replaced by a tape leaf that aliases it."""
-    return map_arrays(obj, lambda a: tape.leaf(a))
+    return map_arrays(obj, tape.leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,21 @@ def test_summary_small_budget_pass(capsys):
     assert out.count("PASS") == 2 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_summary_failed_budget_check_exits_1(capsys, tmp_path, as_json):
+    doc = json.loads((CONFIGS / "tiny.json").read_text())
+    doc["meta"]["reference_params"] = 12
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "summary", "--config", str(cfg), *(["--json"] if as_json else []))
+    assert code == 1 and err == ""
+    if as_json:
+        verdicts = {c["target"]: c["pass"] for c in json.loads(out)["budget_checks"]}
+        assert verdicts == {"params": False, "flops": True}
+    else:
+        assert out.count("FAIL") == 1 and out.count("PASS") == 1
+
+
 def test_summary_empty_file_exits_2(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")
@@ -429,6 +444,17 @@ def test_unreadable_path_exits_2(capsys, micro_cfg_path, tmp_path, argv, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch, micro_cfg_path):
+    def broken(args):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr("hiremlp.cli.cmd_summary", broken)
+    code, out, err = run(capsys, "summary", "--config", micro_cfg_path)
+    assert code == 3
+    assert out == ""
+    assert err == "error: RuntimeError: disk on fire\n"
 
 
 def test_import_does_not_load_scipy():

@@ -193,8 +193,10 @@ def test_unfold_window_cache_is_read_only():
     for padding in PADDING_MODES:
         _pad, window = network._unfold_window(7, 2, 7, 4, padding)
         assert network._unfold_window(7, 2, 7, 4, padding)[1] is window
+        # zero padding pads first, so its window reads the padded axis
+        assert window.extent == (7 + 4 if padding == "zero" else 7)
         with pytest.raises(ValueError):
-            window[0] = 1
+            window.value[0] = 1
 
 
 def test_patch_embed_ceil_division(rng):
@@ -533,6 +535,9 @@ def test_map_tree_rebuild_checks_shapes_and_shares_untouched_subtrees():
     for _ in range(2):  # the second walk reads the cached field names
         with pytest.raises(ConfigError, match="LinearParams: bias"):
             T.map_tree(model, replace(np.zeros(3, dtype=np.float32)))
+        # check=False sets the fields as given, for a fn that keeps what the checks read
+        unchecked = T.map_tree(model, replace(np.zeros(3, dtype=np.float32)), check=False)
+        assert model_tensors(unchecked)[bias].shape == (3,)
         good = np.ones_like(model_tensors(model)[bias])
         new = T.map_tree(model, replace(good))
         assert model_tensors(new)[bias] is good

@@ -301,6 +301,152 @@ def test_op_adjoints_randomized(seed):
 
 
 # ---------------------------------------------------------------------------
+# take and index maps
+# ---------------------------------------------------------------------------
+
+
+def _read_only(idx, dtype=np.intp) -> np.ndarray:
+    out = np.array(idx, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read-only"])
+@pytest.mark.parametrize("idx", [[0, 3], [-1, 0]], ids=["past-end", "negative"])
+def test_take_checks_every_entry_of_a_plain_index_array(idx, read_only):
+    x = np.zeros((2, 3))
+    index = _read_only(idx) if read_only else np.array(idx)
+    with pytest.raises(InvalidInputError, match="out of range for extent 3 along axis 1"):
+        T.take(x, index, 1)
+
+
+def test_index_map_on_an_axis_of_another_extent_is_rejected():
+    index = T.IndexMap(_read_only([0, 2]), 3)
+    for x in (np.zeros((2, 4)), np.zeros((2, 2))):  # every position fits the first
+        with pytest.raises(InvalidInputError, match="built for extent 3"):
+            T.take(x, index, 1)
+
+
+@pytest.mark.parametrize(
+    "idx, problem",
+    [
+        (_read_only([0, 3]), "out of range"),
+        (_read_only([-1]), "out of range"),
+        (np.array([0, 1], dtype=np.intp), "read-only intp"),
+        (_read_only([0, 1], np.int32), "read-only intp"),
+        (_read_only([0, 1], np.float64), "read-only intp"),
+        ([0, 1], "read-only intp"),
+    ],
+    ids=["past-end", "negative", "writeable", "int32", "float", "list"],
+)
+def test_index_map_construction_rejects_a_bad_map(idx, problem):
+    with pytest.raises(InvalidInputError, match=problem):
+        T.IndexMap(idx, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_take_and_adjoint_bitwise_equal_np_take_and_add_at(data):
+    ndim = data.draw(st.integers(1, 4))
+    shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=ndim, max_size=ndim)))
+    axis = data.draw(st.integers(-ndim, ndim - 1))
+    extent = shape[axis]
+    positions = data.draw(st.lists(st.integers(0, extent - 1), max_size=2 * extent + 2))
+    r = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = r.standard_normal(shape)
+    idx = np.array(positions, dtype=np.intp)
+    want = np.take(x, idx, axis)
+    g = r.standard_normal(want.shape)
+    want_gx = np.zeros_like(x)
+    np.add.at(np.moveaxis(want_gx, axis, 0), idx, np.moveaxis(g, axis, 0))
+    for index in (idx, _read_only(idx), T.IndexMap(_read_only(idx), extent)):
+        got = T.take(x, index, axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if not idx.size:
+            continue  # linear takes no empty operand
+        tape = T.Tape()
+        xv = tape.leaf(x)
+        flat = T.reshape(T.take(xv, index, axis), (1, g.size))
+        # sum(out * g) as a 1 x 1 product, whose adjoint hands take exactly g
+        loss = T.sum_all(T.linear(flat, g.reshape(g.size, 1)))
+        gx = T.backward(tape, loss).wrt(xv)
+        assert gx.tobytes() == want_gx.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# operand dispatch
+# ---------------------------------------------------------------------------
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def _other_forms(a: np.ndarray) -> list:
+    return [a.view(_Subclass), a.tolist()]
+
+
+def test_ndarray_subclass_and_list_operands_equal_ndarray_operands(rng):
+    x, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
+    gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+    mean, var = rng.standard_normal(3), rng.random(3) + 0.5
+
+    def same(got, want):
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+    for a in _other_forms(x):
+        for c in _other_forms(x2):
+            same(T.add(a, c), T.add(x, x2))
+        for wf in _other_forms(w):
+            for bf in _other_forms(b):
+                same(T.linear(a, wf, bf), T.linear(x, w, b))
+        for gf in _other_forms(gamma):
+            for bf in _other_forms(beta):
+                same(T.batch_norm(a, gf, bf, mode="batch"), T.batch_norm(x, gamma, beta, mode="batch"))
+                same(
+                    T.batch_norm(a, gf, bf, mode="running", running_mean=mean.tolist(), running_var=var.view(_Subclass)),
+                    T.batch_norm(x, gamma, beta, mode="running", running_mean=mean, running_var=var),
+                )
+
+
+def test_scalar_operands(rng):
+    assert T.add(1.5, 2.25) == 3.75
+    assert T.add(np.float64(1.5), 2.25) == 3.75
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(rng.standard_normal((2, 3)), rng.standard_normal((3, 1)), 0.5)
+    with pytest.raises(ShapeError, match="gamma/beta"):
+        T.batch_norm(rng.standard_normal((2, 3)), 1.0, np.zeros(3), mode="batch")
+
+
+def test_var_operands_record_the_expected_tape(rng):
+    x0, w0, b0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)
+    other, gamma, beta0 = rng.standard_normal((4, 2)), rng.standard_normal(2), rng.standard_normal(2)
+    tape = T.Tape()
+    x, w = tape.leaf(x0), tape.leaf(w0)
+    y = T.linear(x, w, b0.tolist())
+    z = T.add(y, other.view(_Subclass))
+    beta = tape.leaf(beta0)
+    T.batch_norm(z, list(gamma), beta, mode="batch")
+    recorded = [(node.op, node.parents, sorted(node.ctx)) for node in tape.nodes]
+    assert recorded == [
+        ("leaf", (), []),
+        ("leaf", (), []),
+        ("linear", (0, 1, None), ["w", "x"]),
+        ("add", (2, None), []),
+        ("leaf", (), []),
+        ("batch_norm", (3, None, 4), ["gamma", "invstd", "xhat"]),
+    ]
+    assert tape.nodes[0].value is x0 and tape.nodes[2].ctx["w"] is w0
+    np.testing.assert_array_equal(tape.nodes[3].value, T.add(T.linear(x0, w0, b0), other))
+
+
+def test_var_admits_no_subclass():
+    with pytest.raises(TypeError, match="exact type"):
+        type("SubVar", (T.Var,), {})
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
