@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -379,6 +379,8 @@ def forward_features(model: Model, image: T.ArrayLike) -> list[T.ArrayLike]:
     channels = embed.proj.in_dim // embed.spec.kernel ** 2
     if xv.ndim != 4 or xv.shape[-1] != channels:
         raise ShapeError(f"forward: expected NHWC input with {channels} channels, got {xv.shape}")
+    if xv.shape[0] == 0:
+        raise ShapeError(f"forward: expected at least one image, got {xv.shape}")
     if xv.shape[1] < MIN_INPUT or xv.shape[2] < MIN_INPUT:
         raise InvalidInputError(
             f"forward: input {xv.shape[1]}x{xv.shape[2]} is smaller than "
@@ -528,7 +530,7 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
     return dict(T.iter_arrays(model))
 
 
-def load_model_weights(model: Model, tensors: dict[str, np.ndarray]) -> None:
+def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
     """Fill a built model's arrays in place from a name -> array mapping."""
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))

@@ -245,7 +245,7 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> Ar
         bv = _value(bias)
         if bv.shape != (wv.shape[1],):
             raise ShapeError(f"linear: bias {bv.shape} does not match weight {wv.shape}")
-    x2 = xv.reshape(-1, xv.shape[-1])
+    x2 = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1])  # -1 cannot be inferred when the last axis is 0
     out2 = x2 @ wv
     if bv is not None:
         out2 += bv  # the matmul result is fresh, so the bias goes in place
@@ -260,12 +260,12 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> Ar
 @_adjoint("linear")
 def _adj_linear(node: _Node, g: Array):
     xv, wv = node.ctx["x"], node.ctx["w"]
-    g2 = g.reshape(-1, g.shape[-1])
+    g2 = g.reshape(math.prod(g.shape[:-1]), g.shape[-1])
     out = []
     if node.parents[0] is not None:
         out.append((0, (g2 @ wv.T).reshape(xv.shape)))
     if node.parents[1] is not None:
-        x2 = xv.reshape(-1, xv.shape[-1])
+        x2 = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1])
         out.append((1, x2.T @ g2))
     if node.parents[2] is not None:
         out.append((2, g2.sum(axis=0)))

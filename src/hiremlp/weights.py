@@ -11,7 +11,10 @@ Layout (little-endian throughout):
 from __future__ import annotations
 
 import math
+import os
 import struct
+import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -38,59 +41,108 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(data.tobytes())
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by save_tensors; returns float32 arrays.
+def load_tensors(path: str | Path) -> TensorFile:
+    """Open a container written by save_tensors and check its whole header.
 
-    The file is read once, and every array is a read-only view into that
-    one buffer; nothing is copied. Every header field is checked against
-    the bytes that remain before anything is sliced, so a damaged file
-    raises InvalidInputError naming the path and the byte offset.
+    Every header field is checked against the bytes that remain, and no
+    payload is read, so a damaged file raises InvalidInputError naming the
+    path and the byte offset. The returned mapping reads each tensor when
+    it is looked up.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    size = len(blob)
+    fh = open(path, "rb", buffering=0)
+    try:
+        entries = _read_header(path, fh.fileno())
+    except BaseException:
+        fh.close()
+        raise
+    return TensorFile(path, fh, entries)
 
-    def need(off: int, n: int, what: str) -> None:
-        if n > size - off:
-            raise InvalidInputError(f"{path}: byte {off}: {what} needs {n} bytes, {size - off} remain")
 
-    need(0, 12, "header")
-    if blob[:4] != MAGIC:
-        raise InvalidInputError(f"{path}: byte 0: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+class TensorFile(Mapping):
+    """Read-only name -> float32 array mapping over an open container.
+
+    Each lookup reads that one tensor into a fresh, aligned, read-only
+    array, so holding the mapping costs no payload memory. `len`, `in`
+    and iteration read nothing. The file is closed when the mapping is
+    dropped.
+    """
+
+    def __init__(self, path: str | Path, fh, entries: dict[str, tuple[int, tuple[int, ...]]]):
+        self._path, self._fh, self._entries = path, fh, entries
+        weakref.finalize(self, fh.close)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        off, dims = self._entries[name]
+        out = np.empty(dims, dtype="<f4")
+        if out.size:  # a memoryview cannot cast an empty shape
+            buf = memoryview(out).cast("B")
+            done = 0
+            while done < len(buf):
+                got = os.preadv(self._fh.fileno(), [buf[done:]], off + done)
+                if not got:
+                    raise _short(self._path, off, f"data of {name!r} {dims}", len(buf), done)
+                done += got
+        out.flags.writeable = False
+        return out
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _short(path, off: int, what: str, n: int, remain: int) -> InvalidInputError:
+    return InvalidInputError(f"{path}: byte {off}: {what} needs {n} bytes, {remain} remain")
+
+
+def _read_header(path: str | Path, fd: int) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """Each tensor's payload offset and dims, every field checked."""
+    size = os.fstat(fd).st_size
+
+    def read(off: int, n: int, what: str) -> bytes:
+        data = os.pread(fd, n, off)
+        if len(data) < n:
+            raise _short(path, off, what, n, len(data))
+        return data
+
+    head = read(0, 12, "header")
+    if head[:4] != MAGIC:
+        raise InvalidInputError(f"{path}: byte 0: bad magic {head[:4]!r}, expected {MAGIC!r}")
+    version, count = struct.unpack_from("<II", head, 4)
     if version != VERSION:
         raise InvalidInputError(f"{path}: byte 4: unsupported version {version}")
     off = 12
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, tuple[int, tuple[int, ...]]] = {}
     for _ in range(count):
-        need(off, 2, "name length")
-        (name_len,) = struct.unpack_from("<H", blob, off)
+        (name_len,) = struct.unpack("<H", read(off, 2, "name length"))
         off += 2
-        need(off, name_len, "name")
         try:
-            name = blob[off : off + name_len].decode("utf-8")
+            name = read(off, name_len, "name").decode("utf-8")
         except UnicodeDecodeError as e:
             raise InvalidInputError(f"{path}: byte {off + e.start}: name is not UTF-8") from None
         if name in out:
             raise InvalidInputError(f"{path}: byte {off}: duplicate tensor name {name!r}")
         off += name_len
-        need(off, 1, f"rank of {name!r}")
-        rank = blob[off]
+        (rank,) = read(off, 1, f"rank of {name!r}")
         if rank > MAX_RANK:
             raise InvalidInputError(f"{path}: byte {off}: rank {rank} of {name!r} exceeds {MAX_RANK}")
         off += 1
-        need(off, 8 * rank, f"dims of {name!r}")
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
+        dims = struct.unpack(f"<{rank}Q", read(off, 8 * rank, f"dims of {name!r}"))
         # Python ints: no overflow before the checks. An empty tensor needs
         # no bytes, but numpy still cannot hold a shape whose other dims
         # overflow its index type.
         if 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
             raise InvalidInputError(f"{path}: byte {off}: dims {dims} of {name!r} are too large")
         off += 8 * rank
-        n = math.prod(dims)
-        need(off, 4 * n, f"data of {name!r} {dims}")
-        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
+        n = 4 * math.prod(dims)
+        if n > size - off:
+            raise _short(path, off, f"data of {name!r} {dims}", n, size - off)
+        out[name] = (off, dims)
+        off += n
     if off != size:
         raise InvalidInputError(f"{path}: byte {off}: {size - off} trailing bytes")
     return out

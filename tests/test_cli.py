@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hiremlp.cli import main
 from hiremlp.errors import ConfigError
 from hiremlp.invariants import run_invariants
-from hiremlp.network import build_model, forward, model_tensors, save_config
+from hiremlp.network import build_model, forward, load_config, model_tensors, save_config
 from hiremlp.variants import micro_config
 from hiremlp.weights import save_tensors
 
@@ -146,6 +146,40 @@ def test_forward_non_finite_input_exits_2(capsys, micro_cfg_path, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: forward: input has 4800 non-finite values, the first at index (0, 0, 0, 0)\n"
+
+
+_CHILD_PEAK = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def _child_peak_kib(*argv: str) -> int:
+    """Peak RSS of one `python -m hiremlp` run, read by a parent with no other child."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-c", _CHILD_PEAK, sys.executable, "-m", "hiremlp", *argv]
+    return int(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_forward_weights_peaks_no_higher_than_a_seeded_forward(tmp_path):
+    # Loading must not hold the file's payload beside the model's own arrays.
+    config = str(CONFIGS / "tiny.json")
+    weights = tmp_path / "tiny.hire"
+    save_tensors(weights, model_tensors(build_model(load_config(config), seed=0)))
+    seeded = _child_peak_kib("forward", "--config", config, "--random", "224x224x3")
+    loaded = _child_peak_kib("forward", "--config", config, "--weights", str(weights), "--random", "224x224x3")
+    assert (loaded - seeded) * 1024 < weights.stat().st_size / 4, (loaded, seeded)
+
+
+def test_forward_empty_batch_exits_2(capsys, micro_cfg_path, tmp_path):
+    path = tmp_path / "empty.hire"
+    save_tensors(path, {"": np.zeros((0, 40, 40, 3), dtype=np.float32)})
+    code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: forward: expected at least one image, got (0, 40, 40, 3)\n"
 
 
 @pytest.mark.parametrize("flag", ["--weights", "--input"])

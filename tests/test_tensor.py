@@ -1,6 +1,10 @@
 """tensor core: primitive ops, tape backward, finite differences, serialization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,21 @@ def test_linear_shape_error_reports_both_shapes():
     with pytest.raises(ShapeError) as e:
         T.linear(np.zeros((2, 3)), np.zeros((4, 5)))
     assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [((1, 0), (0, 1)), ((2, 3), (3, 0))], ids=["zero-in", "zero-out"])
+def test_linear_zero_width_forward_and_backward(rng, x_shape, w_shape):
+    x0, w0, b0 = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(w_shape[1])
+    want = x0 @ w0 + b0
+    np.testing.assert_array_equal(T.linear(x0, w0, b0), want)
+    tape = T.Tape()
+    x, w, b = tape.leaf(x0), tape.leaf(w0), tape.leaf(b0)
+    out = T.linear(x, w, b)
+    np.testing.assert_array_equal(out.value, want)
+    g = T.backward(tape, T.sum_all(out))
+    np.testing.assert_array_equal(g.wrt(x), np.ones(want.shape) @ w0.T)
+    np.testing.assert_array_equal(g.wrt(w), x0.T @ np.ones(want.shape))
+    np.testing.assert_array_equal(g.wrt(b), np.full(w_shape[1], x_shape[0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -521,25 +540,68 @@ def test_weight_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(back[k], tensors[k])
 
 
-def test_weight_load_returns_read_only_views_of_one_buffer(tmp_path, rng):
+def test_weight_lookup_reads_one_fresh_aligned_read_only_array(tmp_path, rng, monkeypatch):
     tensors = {
         "w": rng.standard_normal((3, 5)).astype(np.float32),
         "odd": rng.standard_normal(3).astype(np.float32),  # its 3-byte name leaves this payload unaligned
         "b": rng.standard_normal(7).astype(np.float32),
+        "empty": np.zeros((0, 2), dtype=np.float32),
     }
     path = tmp_path / "w.hire"
     save_tensors(path, tensors)
+    read = []
+    pread, preadv = os.pread, os.preadv
+    monkeypatch.setattr(os, "pread", lambda fd, n, off: read.append(len(data := pread(fd, n, off))) or data)
+    monkeypatch.setattr(os, "preadv", lambda fd, bufs, off: read.append(got := preadv(fd, bufs, off)) or got)
     back = load_tensors(path)
-    owners = set()
-    for name, arr in back.items():
-        assert arr.dtype == np.float32 and not arr.flags.writeable, name
-        assert arr.tobytes() == tensors[name].tobytes(), name
+    payload = sum(a.nbytes for a in tensors.values())
+    assert sum(read) == path.stat().st_size - payload  # the header, and nothing else
+    calls = len(read)
+    assert len(back) == 4 and "odd" in back and "x" not in back and list(back) == list(tensors)
+    assert len(read) == calls  # len, in and iteration read nothing
+    for name, want in tensors.items():
+        arr = back[name]
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous and not arr.flags.writeable, name
+        assert arr.ctypes.data % arr.itemsize == 0, name
+        assert arr.shape == want.shape and arr.tobytes() == want.tobytes(), name
         with pytest.raises(ValueError):
             arr[...] = 0
-        while isinstance(arr, np.ndarray):
-            arr = arr.base
-        owners.add(id(arr))
-    assert len(owners) == 1 and isinstance(arr, bytes)  # every array views the one buffer read
+        again = back[name]
+        assert again is not arr
+        np.testing.assert_array_equal(again, arr)
+    assert sum(read) == path.stat().st_size + payload  # each lookup read its own tensor once
+
+
+def test_weight_lookup_after_the_file_shrinks_names_path_and_offset(tmp_path):
+    path = _damaged(tmp_path, _valid_blob(tmp_path))
+    back = load_tensors(path)
+    path.write_bytes(path.read_bytes()[:-3])  # truncates the open file in place
+    np.testing.assert_array_equal(back["w"], np.ones((2, 3)))
+    with pytest.raises(InvalidInputError) as e:
+        back["b"]
+    assert str(e.value) == f"{path}: byte 68: data of 'b' (4,) needs 16 bytes, 13 remain"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files through /proc")
+def test_dropping_the_weight_mapping_closes_its_file(tmp_path):
+    path = tmp_path / "w.hire"
+    save_tensors(path, {"w": np.ones((2, 3), dtype=np.float32)})
+    script = (
+        "import gc, os, sys\n"
+        "from hiremlp.weights import load_tensors\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "back = load_tensors(sys.argv[1])\n"
+        "assert back['w'].sum() == 6\n"
+        "del back\n"
+        "gc.collect()\n"
+        "assert len(os.listdir('/proc/self/fd')) == before\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_weight_header_layout(tmp_path):
