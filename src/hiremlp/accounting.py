@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .hire import BottleneckMlpParams, HireModuleParams
 from .network import Model, ModelConfig, assemble_model
 from .rearrange import padded_extent
-from .variants import FC_SWEEP_REFERENCE
+from .variants import FC_SWEEP_REFERENCE, REFERENCE_HW
 
 
 @dataclass
@@ -95,7 +95,7 @@ def _bottleneck_cost(mlp: BottleneckMlpParams, tokens: int, weights_only: bool) 
         p, f = _linear_cost(layer, tokens, weights_only)
         params += p
         flops += f
-    if mlp.norm is not None and len(mlp.layers) > 1:
+    if mlp.norm is not None:
         params += _norm_params(mlp.norm, weights_only)
     return params, flops
 
@@ -165,9 +165,9 @@ def count_config(
 
 
 def ablation_cost_sweep(base_config: ModelConfig) -> list[tuple[int, CostReport]]:
-    """Cost reports at 224x224 of the 1- to 4-FC bottleneck variants of one
-    base config, the depths of the published sweep (FC_SWEEP_REFERENCE)."""
+    """Cost reports at REFERENCE_HW of the 1- to 4-FC bottleneck variants of
+    one base config, the depths of the published sweep (FC_SWEEP_REFERENCE)."""
     return [
-        (n, count_config(replace(base_config, bottleneck_fcs=n), 224, 224))
+        (n, count_config(replace(base_config, bottleneck_fcs=n), *REFERENCE_HW))
         for n in FC_SWEEP_REFERENCE
     ]

@@ -33,7 +33,7 @@ from .invariants import (
 )
 from .network import assemble_model, build_model, forward, load_config, load_model_weights
 from .rearrange import PADDING_MODES, RegionSpec, partition_pad
-from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, small_config
+from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, REFERENCE_HW, small_config
 from .weights import load_tensors
 
 BENCH_WARMUP = 5
@@ -98,6 +98,10 @@ def cmd_summary(args) -> int:
     }
     reference = cfg.meta.get("reference_params"), cfg.meta.get("reference_flops")
     checks = budget_checks((report.params, report.flops), reference) if all(reference) else []
+    # params do not depend on the input; FLOPs compare only at the published resolution
+    flops_unchecked = bool(checks) and (h, w) != REFERENCE_HW
+    if flops_unchecked:
+        checks = [c for c in checks if c["target"] != "flops"]
     if checks:
         payload["budget_checks"] = checks
     code = 0 if all(c["pass"] for c in checks) else 1
@@ -119,6 +123,9 @@ def cmd_summary(args) -> int:
             f"budget {c['target']}: {_human(c['measured'])} vs reference "
             f"{_human(c['reference'])} ({c['deviation']:+.2%}) ... {verdict}"
         )
+    if flops_unchecked:
+        ref_h, ref_w = REFERENCE_HW
+        print(f"budget flops: not checked at {h}x{w}, because the reference is at {ref_h}x{ref_w}")
     return code
 
 
@@ -260,7 +267,7 @@ def _ablate_shift(args, out: dict) -> bool:
     for steps in sweeps:
         stages = tuple(dataclasses.replace(s, s=v) for s, v in zip(base.stages, steps))
         cfg = dataclasses.replace(base, stages=stages, meta={})
-        rep = count_config(cfg, 224, 224)
+        rep = count_config(cfg, *REFERENCE_HW)
         comm = "none (no cross-region communication)" if all(v == 0 for v in steps) else "cross-region"
         rows.append({"steps": list(steps), "params": rep.params, "flops": rep.flops, "communication": comm})
     costs = {(r["params"], r["flops"]) for r in rows}
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summary", help="per-stage table, totals, budget checks")
     p.add_argument("--config", required=True)
-    p.add_argument("--hw", default="224x224", help="input resolution HxW")
+    p.add_argument("--hw", default="x".join(map(str, REFERENCE_HW)), help="input resolution HxW")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_summary)
 

@@ -41,7 +41,7 @@ class BottleneckMlpParams:
     """FC stack applied to rearranged regions; in/out dims must both equal region_size*C."""
 
     layers: list[T.LinearParams]
-    norm: T.NormParams | None = None  # applied after the first projection
+    norm: T.NormParams | None = None  # applied after the first projection; None with one layer
 
     def __post_init__(self):
         if not self.layers:
@@ -57,7 +57,11 @@ class BottleneckMlpParams:
                 "BottleneckMlpParams: first in_dim must equal last out_dim "
                 f"({self.layers[0].in_dim} vs {self.layers[-1].out_dim})"
             )
-        if self.norm is not None and len(self.layers) > 1:
+        if self.norm is not None:
+            if len(self.layers) == 1:
+                raise ConfigError(
+                    "BottleneckMlpParams: a one-layer stack has no hidden layer, so it takes no norm"
+                )
             if self.norm.channels != self.layers[0].out_dim:
                 raise ConfigError(
                     f"BottleneckMlpParams: norm channels {self.norm.channels} "

@@ -6,8 +6,9 @@ inputs, or into a result it has already returned. A result may share
 memory with an input, though: `reshape` returns a view whenever numpy can
 give one, so a caller that wants to write into a result must own it.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
-`Tape`; if any input is a `Var` the op is recorded so `backward` can
-replay adjoints. One tape serves one forward pass.
+`Tape`; every op returns through `_result`, which records the op when
+any input is a `Var` so `backward` can replay adjoints. One tape serves
+one forward pass.
 
 Precision is a property of the arrays, not a global switch: float32 for
 inference, float64 for gradient checks (central differences are useless
@@ -128,22 +129,24 @@ def _value(x: ArrayLike) -> Array:
     return np.asarray(x)
 
 
-def _find_tape(*xs: ArrayLike | None) -> Tape | None:
+def _result(op: str, out: Array, operands: tuple, ctx: dict) -> ArrayLike:
+    """What every op returns: `out` itself when no operand is a Var, else
+    `out` recorded as one `op` node on the operands' tape, with one parent
+    slot per operand, the Var's node index or None for a constant."""
     tape = None
-    for x in xs:
+    for x in operands:
         if type(x) is Var:
             if tape is None:
                 tape = x.tape
             elif tape is not x.tape:
                 raise InvalidInputError("operands are bound to different tapes")
-    return tape
+    if tape is None:
+        return out
+    return tape._record(op, out, tuple(x.idx if type(x) is Var else None for x in operands), ctx)
 
 
-def _parent(x: ArrayLike | None) -> int | None:
-    return x.idx if type(x) is Var else None
-
-
-# adjoint registry: op kind -> fn(node, grad_out) -> list[(parent_slot, grad)]
+# adjoint registry: op kind -> fn(node, grad_out) -> list[(parent_slot, grad)],
+# one entry per slot; backward drops the entries of constant (None) slots
 _ADJOINTS: dict[str, Callable[[_Node, Array], list[tuple[int, Array]]]] = {}
 
 
@@ -200,7 +203,7 @@ def backward(tape: Tape, output: Var) -> Gradients:
         for slot, contrib in adj(node, g):
             pidx = node.parents[slot]
             if pidx is None:
-                continue
+                continue  # a constant operand: the one place its gradient is dropped
             # accumulation always allocates a fresh array, so aliasing g is safe
             if grads[pidx] is None:
                 grads[pidx] = contrib
@@ -219,11 +222,7 @@ def add(a: ArrayLike, b: ArrayLike) -> ArrayLike:
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
         raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-    out = av + bv
-    tape = _find_tape(a, b)
-    if tape is None:
-        return out
-    return tape._record("add", out, (_parent(a), _parent(b)), {})
+    return _result("add", av + bv, (a, b), {})
 
 
 @_adjoint("add")
@@ -250,40 +249,25 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> Ar
     if bv is not None:
         out2 += bv  # the matmul result is fresh, so the bias goes in place
     out = out2.reshape(xv.shape[:-1] + (wv.shape[1],))
-    tape = _find_tape(x, weight, bias)
-    if tape is None:
-        return out
-    ctx = {"x": xv, "w": wv}
-    return tape._record("linear", out, (_parent(x), _parent(weight), _parent(bias)), ctx)
+    return _result("linear", out, (x, weight, bias), {"x": xv, "w": wv})
 
 
 @_adjoint("linear")
 def _adj_linear(node: _Node, g: Array):
     xv, wv = node.ctx["x"], node.ctx["w"]
     g2 = g.reshape(math.prod(g.shape[:-1]), g.shape[-1])
-    out = []
-    if node.parents[0] is not None:
-        out.append((0, (g2 @ wv.T).reshape(xv.shape)))
-    if node.parents[1] is not None:
-        x2 = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1])
-        out.append((1, x2.T @ g2))
-    if node.parents[2] is not None:
-        out.append((2, g2.sum(axis=0)))
-    return out
+    x2 = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1])
+    return [(0, (g2 @ wv.T).reshape(xv.shape)), (1, x2.T @ g2), (2, g2.sum(axis=0))]
 
 
 def relu(x: ArrayLike) -> ArrayLike:
     xv = _value(x)
-    out = np.maximum(xv, 0)
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("relu", out, (_parent(x),), {"mask": xv > 0})
+    return _result("relu", np.maximum(xv, 0), (x,), {"x": xv})
 
 
 @_adjoint("relu")
 def _adj_relu(node: _Node, g: Array):
-    return [(0, g * node.ctx["mask"])]
+    return [(0, g * (node.ctx["x"] > 0))]
 
 
 # Eigen's float32 rational minimax erf (generic_fast_erf_float):
@@ -349,11 +333,10 @@ def gelu(x: ArrayLike) -> ArrayLike:
     for the erf each dtype uses."""
     xv = _value(x)
     cdf = _normal_cdf(xv)
-    tape = _find_tape(x)
-    if tape is None:
-        cdf *= xv
+    if type(x) is not Var:
+        cdf *= xv  # eager: no adjoint needs the cdf, so it becomes the result
         return cdf
-    return tape._record("gelu", xv * cdf, (_parent(x),), {"x": xv, "cdf": cdf})
+    return _result("gelu", xv * cdf, (x,), {"x": xv, "cdf": cdf})
 
 
 @_adjoint("gelu")
@@ -414,11 +397,7 @@ def batch_norm(
         ctx = {}
     else:
         raise ConfigError(f"batch_norm: unknown mode '{mode}'")
-    tape = _find_tape(x, gamma, beta)
-    if tape is None:
-        return out
-    op = "batch_norm" if mode == "batch" else "batch_norm_running"
-    return tape._record(op, out, (_parent(x), _parent(gamma), _parent(beta)), ctx)
+    return _result("batch_norm" if mode == "batch" else "batch_norm_running", out, (x, gamma, beta), ctx)
 
 
 @_adjoint("batch_norm")
@@ -430,17 +409,10 @@ def _adj_batch_norm(node: _Node, g: Array):
     g2 = g.reshape(xhat.shape)
     g_sum = g2.sum(axis=0)
     gx_sum = (g2 * xhat).sum(axis=0)
-    out = []
-    if node.parents[0] is not None:
-        dx = g2 - g_sum / count
-        dx -= xhat * (gx_sum / count)
-        dx *= gv * invstd
-        out.append((0, dx.reshape(g.shape)))
-    if node.parents[1] is not None:
-        out.append((1, gx_sum))
-    if node.parents[2] is not None:
-        out.append((2, g_sum))
-    return out
+    dx = g2 - g_sum / count
+    dx -= xhat * (gx_sum / count)
+    dx *= gv * invstd
+    return [(0, dx.reshape(g.shape)), (1, gx_sum), (2, g_sum)]
 
 
 def reshape(x: ArrayLike, shape: Sequence[int]) -> ArrayLike:
@@ -450,10 +422,7 @@ def reshape(x: ArrayLike, shape: Sequence[int]) -> ArrayLike:
         out = xv.reshape(shape)  # a view whenever numpy can give one
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {xv.shape} as {shape}: {e}") from None
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("reshape", out, (_parent(x),), {"in_shape": xv.shape})
+    return _result("reshape", out, (x,), {"in_shape": xv.shape})
 
 
 @_adjoint("reshape")
@@ -464,11 +433,7 @@ def _adj_reshape(node: _Node, g: Array):
 def transpose(x: ArrayLike, perm: Sequence[int]) -> ArrayLike:
     xv = _value(x)
     perm = tuple(perm)
-    out = np.ascontiguousarray(xv.transpose(perm))
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("transpose", out, (_parent(x),), {"perm": perm})
+    return _result("transpose", np.ascontiguousarray(xv.transpose(perm)), (x,), {"perm": perm})
 
 
 @_adjoint("transpose")
@@ -524,11 +489,7 @@ def take(x: ArrayLike, idx: Array | IndexMap, axis: int) -> ArrayLike:
             raise InvalidInputError(
                 f"take: index out of range for extent {extent} along axis {axis}"
             )
-    out = xv.take(idx, axis=axis)
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("take", out, (_parent(x),), {"idx": idx, "axis": axis, "in_shape": xv.shape})
+    return _result("take", xv.take(idx, axis=axis), (x,), {"idx": idx, "axis": axis, "in_shape": xv.shape})
 
 
 @_adjoint("take")
@@ -548,10 +509,7 @@ def pad_zero(x: ArrayLike, axis: int, before: int, after: int) -> ArrayLike:
     widths = [(0, 0)] * xv.ndim
     widths[axis] = (before, after)
     out = np.pad(xv, widths, mode="constant")
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("pad_zero", out, (_parent(x),), {"axis": axis, "before": before, "extent": xv.shape[axis]})
+    return _result("pad_zero", out, (x,), {"axis": axis, "before": before, "extent": xv.shape[axis]})
 
 
 @_adjoint("pad_zero")
@@ -570,10 +528,7 @@ def crop(x: ArrayLike, axis: int, start: int, stop: int) -> ArrayLike:
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, stop)
     out = np.ascontiguousarray(xv[tuple(sl)])
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("crop", out, (_parent(x),), {"axis": axis, "start": start, "in_shape": xv.shape})
+    return _result("crop", out, (x,), {"axis": axis, "start": start, "in_shape": xv.shape})
 
 
 @_adjoint("crop")
@@ -588,11 +543,7 @@ def _adj_crop(node: _Node, g: Array):
 
 def mean_axes(x: ArrayLike, axes: tuple[int, ...]) -> ArrayLike:
     xv = _value(x)
-    out = xv.mean(axis=axes)
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("mean_axes", out, (_parent(x),), {"axes": axes, "in_shape": xv.shape})
+    return _result("mean_axes", xv.mean(axis=axes), (x,), {"axes": axes, "in_shape": xv.shape})
 
 
 @_adjoint("mean_axes")
@@ -608,11 +559,7 @@ def _adj_mean_axes(node: _Node, g: Array):
 
 def sum_all(x: ArrayLike) -> ArrayLike:
     xv = _value(x)
-    out = np.asarray(xv.sum())
-    tape = _find_tape(x)
-    if tape is None:
-        return out
-    return tape._record("sum_all", out, (_parent(x),), {"in_shape": xv.shape, "dtype": xv.dtype})
+    return _result("sum_all", np.asarray(xv.sum()), (x,), {"in_shape": xv.shape, "dtype": xv.dtype})
 
 
 @_adjoint("sum_all")

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from .network import ModelConfig, PatchEmbedSpec, StageConfig
 
-# published (params, flops) at 224x224, MAC-as-FLOP convention
+# (height, width) of the input at which every published FLOP count below was taken
+REFERENCE_HW = (224, 224)
+
+# published (params, flops) at REFERENCE_HW, MAC-as-FLOP convention
 REFERENCE_BUDGETS = {
     "tiny": (18.0e6, 2.1e9),
     "small": (33.11e6, 4.24e9),
@@ -20,7 +23,7 @@ REFERENCE_BUDGETS = {
     "large": (96.0e6, 13.4e9),
 }
 
-# published Small totals for the 1/2/3/4-FC bottleneck sweep
+# published Small totals for the 1/2/3/4-FC bottleneck sweep, at REFERENCE_HW
 FC_SWEEP_REFERENCE = {
     1: (49.65e6, 5.65e9),
     2: (33.11e6, 4.24e9),

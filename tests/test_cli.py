@@ -71,6 +71,18 @@ def test_summary_failed_budget_check_exits_1(capsys, tmp_path, as_json):
         assert out.count("FAIL") == 1 and out.count("PASS") == 1
 
 
+@pytest.mark.parametrize("hw", ["256x256", "800x1333"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_summary_checks_flops_only_at_the_reference_resolution(capsys, hw, as_json):
+    code, out, err = run(capsys, "summary", "--config", str(CONFIGS / "tiny.json"), "--hw", hw, *(["--json"] if as_json else []))
+    assert code == 0 and err == ""
+    if as_json:
+        assert [c["target"] for c in json.loads(out)["budget_checks"]] == ["params"]
+    else:
+        assert out.count("PASS") == 1 and "FAIL" not in out
+        assert f"budget flops: not checked at {hw}, because the reference is at 224x224\n" in out
+
+
 def test_summary_empty_file_exits_2(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")

@@ -102,6 +102,14 @@ def test_bottleneck_chain_mismatch_raises_at_construction():
         BottleneckMlpParams(layers=[T.LinearParams(np.zeros((8, 4)), np.zeros(4))])
 
 
+def test_bottleneck_one_layer_stack_rejects_a_norm():
+    # the forward never applies it, so its arrays would only pad a weight file
+    layer = T.LinearParams(np.zeros((4, 4)), np.zeros(4))
+    for channels in (4, 7):
+        with pytest.raises(ConfigError, match="one-layer stack"):
+            BottleneckMlpParams(layers=[layer], norm=T.identity_norm(channels))
+
+
 def test_bottleneck_widths_scheme():
     assert bottleneck_widths(3, 64, 1) == []
     assert bottleneck_widths(3, 64, 2) == [32]

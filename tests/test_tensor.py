@@ -1,5 +1,6 @@
 """tensor core: primitive ops, tape backward, finite differences, serialization."""
 
+import ast
 import math
 import os
 import subprocess
@@ -458,6 +459,88 @@ def test_var_operands_record_the_expected_tape(rng):
     ]
     assert tape.nodes[0].value is x0 and tape.nodes[2].ctx["w"] is w0
     np.testing.assert_array_equal(tape.nodes[3].value, T.add(T.linear(x0, w0, b0), other))
+
+
+def _running_norm_case(rng):
+    x4 = rng.standard_normal((2, 3, 4, 5))
+    gamma, beta, mean, var = (rng.standard_normal(5) for _ in range(4))
+    norm = lambda v: T.batch_norm(v, gamma, beta, mode="running", running_mean=mean, running_var=np.abs(var))
+    return [("batch_norm_running", x4, norm)]
+
+
+# each op's operands, in the order of its parent slots
+_OPERANDS = {
+    "add": ("a", "b"),
+    "linear": ("x", "weight", "bias"),
+    "batch_norm": ("x", "gamma", "beta"),
+    "batch_norm_running": ("x", "gamma", "beta"),
+}
+_CASE_NAMES = [name for name, _, _ in op_grad_cases(np.random.default_rng(0)) + _running_norm_case(np.random.default_rng(0))]
+
+
+@pytest.mark.parametrize("name", _CASE_NAMES)
+def test_each_taped_op_records_one_node_equal_to_its_eager_result(rng, name):
+    leaf, fn = {n: (a, f) for n, a, f in op_grad_cases(rng) + _running_norm_case(rng)}[name]
+    op, _, operand = name.partition("/")
+    slots = _OPERANDS.get(op, ("x",))
+    tape = T.Tape()
+    got = fn(tape.leaf(leaf))
+    parents = tuple(0 if s == (operand or slots[0]) else None for s in slots)
+    assert [(node.op, node.parents) for node in tape.nodes[1:]] == [(op, parents)]
+    assert got.idx == 1
+    want = fn(leaf)
+    assert type(want) is np.ndarray
+    assert (got.value.dtype, got.value.shape, got.value.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_backward_drops_the_gradients_of_constant_operands(rng):
+    x0, w0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)
+    tape = T.Tape()
+    x = tape.leaf(x0)
+    untouched = tape.leaf(rng.standard_normal(4))
+    y = T.linear(x, w0, b0)
+    loss = T.sum_all(y)
+    g = T.backward(tape, loss)
+    assert [i for i, grad in enumerate(g._grads) if grad is not None] == [x.idx, y.idx, loss.idx]
+    assert g.wrt(x).tobytes() == (np.ones((5, 2)) @ w0.T).tobytes()
+    np.testing.assert_array_equal(g.wrt(untouched), np.zeros(4))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _calls_in_src(name: str) -> list[tuple[str, ast.Call]]:
+    """(module.enclosing.scope, call) for every call in src/ of a function or method `name`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                    found.append((scope, child))
+            visit(child, inner)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_ops_record_only_through_result_under_registered_op_names():
+    assert {scope for scope, _ in _calls_in_src("_record")} == {"tensor._result", "tensor.Tape.leaf"}
+    ops = []
+    for scope, call in _calls_in_src("_result"):
+        arg = call.args[0]
+        names = [arg.body, arg.orelse] if isinstance(arg, ast.IfExp) else [arg]
+        assert all(isinstance(n, ast.Constant) and isinstance(n.value, str) for n in names), (
+            f"{scope}: the op name passed to _result is not a string literal"
+        )
+        ops += [n.value for n in names]
+    # running-mode batch norm is recorded but, by contract, has no adjoint
+    assert set(ops) == set(T._ADJOINTS) | {"batch_norm_running"}
 
 
 def test_var_admits_no_subclass():
