@@ -96,12 +96,11 @@ def cmd_summary(args) -> int:
         "params": report.params,
         "flops": report.flops,
     }
-    reference = cfg.meta.get("reference_params"), cfg.meta.get("reference_flops")
-    checks = budget_checks((report.params, report.flops), reference) if all(reference) else []
+    ref_flops = cfg.meta.get("reference_flops")
     # params do not depend on the input; FLOPs compare only at the published resolution
-    flops_unchecked = bool(checks) and (h, w) != REFERENCE_HW
-    if flops_unchecked:
-        checks = [c for c in checks if c["target"] != "flops"]
+    flops_unchecked = ref_flops is not None and (h, w) != REFERENCE_HW
+    reference = cfg.meta.get("reference_params"), None if flops_unchecked else ref_flops
+    checks = budget_checks((report.params, report.flops), reference)
     if checks:
         payload["budget_checks"] = checks
     code = 0 if all(c["pass"] for c in checks) else 1

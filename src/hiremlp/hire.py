@@ -74,16 +74,19 @@ class BottleneckMlpParams:
 
 
 def bottleneck_mlp(v: T.ArrayLike, p: BottleneckMlpParams) -> T.ArrayLike:
-    """linear -> [norm] -> GELU -> ... -> linear on the last axis."""
+    """linear -> [norm] -> GELU -> ... -> linear on the last axis.
+
+    Rebinding v drops each map after its last read, the input included when
+    the caller passed it as a temporary; the norm and GELU overwrite the
+    fresh FC output they are given."""
     n = len(p.layers)
-    out = v
     for i, layer in enumerate(p.layers):
-        out = T.apply_linear(out, layer)
+        v = T.apply_linear(v, layer)
         if i < n - 1:
             if i == 0 and p.norm is not None:
-                out = T.apply_norm(out, p.norm)
-            out = T.gelu(out)
-    return out
+                v = T.apply_norm(v, p.norm, overwrite=True)
+            v = T.gelu(v, overwrite=True)
+    return v
 
 
 @dataclass
@@ -140,8 +143,7 @@ def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
         x = T.take(x, gather_in, ax)
     if cfg.region.padding_mode == "zero":
         x = pad_axis(x, ax, 0, padded - extent, "zero")
-    y = inner_rearrange(x, cfg.region)
-    y = bottleneck_mlp(y, cfg.mlp)
+    y = bottleneck_mlp(inner_rearrange(x, cfg.region), cfg.mlp)
     y = inner_restore(y, cfg.region)
     if gather_out is not None:
         return T.take(y, gather_out, ax)
@@ -169,9 +171,12 @@ class HireModuleParams:
 
 
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
-    """Sum of the branch outputs: (width + height) + channel."""
-    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
-    return T.add(spatial, T.apply_linear(x, p.channel))
+    """Sum of the branch outputs: (width + height) + channel.
+
+    Each branch output is fresh, never x or a view of it, so the sums go
+    into the width branch's output."""
+    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height), overwrite=True)
+    return T.add(spatial, T.apply_linear(x, p.channel), overwrite=True)
 
 
 def bottleneck_widths(region_size: int, channels: int, n_layers: int) -> list[int]:

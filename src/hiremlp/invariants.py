@@ -712,12 +712,15 @@ def check_closed_form_reconciliation(seeds: int, rng) -> tuple[bool, str]:
     return True, f"{seeds} divisible configs, integer equality"
 
 
-def budget_checks(measured: tuple[int, int], reference: tuple[float, float]) -> list[dict]:
+def budget_checks(measured: tuple[int, int], reference: tuple[float | None, float | None]) -> list[dict]:
     """Budget claim on one case: measured (params, flops) each within
     BUDGET_TOLERANCE of the published (params, flops). One record per
-    target, with its relative deviation and whether it passes."""
+    target whose reference is not None, with its relative deviation and
+    whether it passes."""
     checks = []
     for target, got, ref in zip(("params", "flops"), measured, reference):
+        if ref is None:
+            continue
         dev = got / ref - 1
         checks.append(
             {"target": target, "reference": ref, "measured": got, "deviation": dev, "pass": abs(dev) <= BUDGET_TOLERANCE}

@@ -33,6 +33,7 @@ from .hire import (
     hire_module,
 )
 from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
+from .weights import TensorFile
 
 MIN_INPUT = 32
 
@@ -299,15 +300,20 @@ class Model:
 
 
 def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
-    y = T.apply_linear(x, p.fc1)
-    y = T.gelu(y)
-    return T.apply_linear(y, p.fc2)
+    """fc1 -> GELU -> fc2. Rebinding x drops a map passed as a temporary
+    before the hidden map exists, and the GELU overwrites fc1's fresh output."""
+    x = T.apply_linear(x, p.fc1)
+    x = T.gelu(x, overwrite=True)
+    return T.apply_linear(x, p.fc2)
 
 
 def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
-    """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y."""
-    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
-    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
+    """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y.
+
+    Each residual sum goes into the fresh module or MLP output, never into
+    x, which the caller may read again."""
+    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x, overwrite=True)
+    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y, overwrite=True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -531,7 +537,15 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 
 
 def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
-    """Fill a built model's arrays in place from a name -> array mapping."""
+    """Fill a built model's arrays in place from a name -> array mapping.
+
+    Every name and shape, and the sign of every running variance, is
+    checked before the first copy, so a mismatch leaves the model as it
+    was; a `TensorFile` gives its shapes from its header, reading nothing.
+    A value the mapping rejects when a tensor is read for its copy (a
+    TensorFile's non-finite check) still raises after the arrays before it
+    were filled.
+    """
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))
     extra = sorted(set(tensors) - set(own))
@@ -540,11 +554,21 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
             f"weight mismatch: missing {missing[:3]}{'...' if len(missing) > 3 else ''}, "
             f"unexpected {extra[:3]}{'...' if len(extra) > 3 else ''}"
         )
+    shape = tensors.shape if isinstance(tensors, TensorFile) else lambda name: tensors[name].shape
     for name, arr in own.items():
-        src = tensors[name]
-        if src.shape != arr.shape:
-            raise ShapeError(f"weight '{name}': file {src.shape} vs model {arr.shape}")
-        arr[...] = src
+        if tuple(shape(name)) != arr.shape:
+            raise ShapeError(f"weight '{name}': file {tuple(shape(name))} vs model {arr.shape}")
+    for name in own:
+        if name.endswith(".running_var"):
+            var = np.asarray(tensors[name]).reshape(-1)
+            negative = var < 0
+            if negative.any():
+                i = int(np.argmax(negative))
+                raise InvalidInputError(
+                    f"weight '{name}': running variance {var[i]} at flat index {i} is negative"
+                )
+    for name, arr in own.items():
+        arr[...] = tensors[name]
 
 
 def model_checksum(model: Model) -> str:

@@ -14,10 +14,14 @@ Two levels operate on NHWC feature maps along a chosen spatial axis:
 so inner-region rearrangement always sees a divisible extent; `crop_pad`
 undoes it. `pad_axis`, shared with the patch embeddings, is the one
 padding routine. Padding by nothing returns the input itself, and so does
-`crop_pad` when nothing was padded, which is safe because no op mutates
-its inputs. The width-axis inner rearrangement and restore are reshape
-views; every other transform is an index-mapped copy. All of them record
-on a tape when handed Vars.
+`crop_pad` when nothing was padded. That aliasing stays safe although
+`gelu`, `add` and running-mode `batch_norm` may overwrite an operand
+(their `overwrite` flag): callers pass the flag only for a map they have
+just made, such as a fresh FC output or a branch output, whose every alias
+is their own. A pass-through of a branch's input only feeds
+`inner_rearrange` and the first FC, which read it. The width-axis inner
+rearrangement and restore are reshape views; every other transform is an
+index-mapped copy. All of them record on a tape when handed Vars.
 
 The gathers are built by `pad_index`, `cross_index` and
 `cross_restore_index`, so a caller can compose them: `hire.hire_branch`

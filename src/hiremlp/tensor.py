@@ -1,10 +1,15 @@
 """Dense-array primitives and a minimal reverse-mode tape.
 
 Feature maps are plain numpy arrays in NHWC layout (row-major, channels
-fastest-varying). Every op here is pure: no op writes into one of its
-inputs, or into a result it has already returned. A result may share
-memory with an input, though: `reshape` returns a view whenever numpy can
-give one, so a caller that wants to write into a result must own it.
+fastest-varying). By default every op here is pure: no op writes into one
+of its inputs, or into a result it has already returned. A result may
+share memory with an input, though: `reshape` returns a view whenever
+numpy can give one, so a caller that wants to write into a result must own
+it. `gelu`, `add` and running-mode `batch_norm` take `overwrite=True` from
+a caller that owns its (first) operand and reads it no more: the op may
+then write its result into that operand's memory and return it, with the
+same values as without the flag. A Var operand ignores the flag, because
+the tape keeps its value.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
 `Tape`; every op returns through `_result`, which records the op when
 any input is a `Var` so `backward` can replay adjoints. One tape serves
@@ -217,11 +222,15 @@ def backward(tape: Tape, output: Var) -> Gradients:
 # ---------------------------------------------------------------------------
 
 
-def add(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    """Elementwise sum; shapes must match exactly (no broadcasting)."""
+def add(a: ArrayLike, b: ArrayLike, *, overwrite: bool = False) -> ArrayLike:
+    """Elementwise sum; shapes must match exactly (no broadcasting). With
+    overwrite, the sum goes into a's memory when a is an ndarray of the
+    sum's dtype."""
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
         raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
+    if overwrite and type(a) is np.ndarray and av.dtype == bv.dtype:
+        return _result("add", np.add(av, bv, out=av), (a, b), {})
     return _result("add", av + bv, (a, b), {})
 
 
@@ -297,8 +306,10 @@ def _horner(t2: Array, coeffs: tuple[float, ...], out: Array) -> None:
     out += coeffs[-1]
 
 
-def _normal_cdf(x: Array) -> Array:
-    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) as a fresh array of x's shape.
+def _normal_cdf(x: Array, *, times_x: bool = False) -> Array:
+    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) as a fresh array of x's shape; with
+    times_x, the GELU x Phi(x) instead, written into x's own memory (into a
+    fresh flat copy when x's elements cannot be viewed flat) and returned.
 
     float32 takes the rational erf above, within 2e-6 absolute of the
     float64 GELU once multiplied by x; every other dtype takes libm's erf
@@ -308,14 +319,20 @@ def _normal_cdf(x: Array) -> Array:
         erf = np.fromiter(map(math.erf, t.ravel().tolist()), np.float64, t.size)
         erf += 1.0  # 0.5 (1 + erf), in place
         erf *= 0.5
-        return erf.astype(t.dtype, copy=False).reshape(t.shape)
+        cdf = erf.astype(t.dtype, copy=False).reshape(t.shape)
+        if times_x:
+            x *= cdf
+            return x
+        return cdf
     flat = x.reshape(-1)
-    cdf = np.empty_like(flat)
+    out = flat if times_x else np.empty_like(flat)
     n = max(1, min(flat.size, _ERF32_BLOCK))
-    buf_t, buf_t2, buf_q = (np.empty(n, np.float32) for _ in range(3))
+    buf_t, buf_t2, buf_q, buf_p = (np.empty(n, np.float32) for _ in range(4))
     for start in range(0, flat.size, n):
         xs = flat[start:start + n]
-        p = cdf[start:start + n]
+        # Phi goes into its slice of the result, or, for the GELU, into a
+        # buffer that then multiplies the slice of x in place
+        p = buf_p[: xs.size] if times_x else out[start:start + n]
         t, t2, q = buf_t[: xs.size], buf_t2[: xs.size], buf_q[: xs.size]
         np.multiply(xs, _INV_SQRT2, out=t)
         np.clip(t, -4.0, 4.0, out=t)
@@ -325,18 +342,24 @@ def _normal_cdf(x: Array) -> Array:
         p *= t
         p /= q
         p += 0.5
-    return cdf.reshape(x.shape)
+        if times_x:
+            xs *= p
+    return out.reshape(x.shape)
 
 
-def gelu(x: ArrayLike) -> ArrayLike:
+def gelu(x: ArrayLike, *, overwrite: bool = False) -> ArrayLike:
     """Exact-erf GELU: x Phi(x) = 0.5 x (1 + erf(x / sqrt 2)); see _normal_cdf
-    for the erf each dtype uses."""
+    for the erf each dtype uses. With overwrite, an ndarray x is overwritten
+    by its GELU, one slice at a time."""
     xv = _value(x)
+    if type(x) is Var:
+        cdf = _normal_cdf(xv)
+        return _result("gelu", xv * cdf, (x,), {"x": xv, "cdf": cdf})
+    if overwrite:
+        return _normal_cdf(xv, times_x=True)
     cdf = _normal_cdf(xv)
-    if type(x) is not Var:
-        cdf *= xv  # eager: no adjoint needs the cdf, so it becomes the result
-        return cdf
-    return _result("gelu", xv * cdf, (x,), {"x": xv, "cdf": cdf})
+    cdf *= xv  # eager: no adjoint needs the cdf, so it becomes the result
+    return cdf
 
 
 @_adjoint("gelu")
@@ -354,6 +377,7 @@ def batch_norm(
     mode: str,
     running_mean: Array | None = None,
     running_var: Array | None = None,
+    overwrite: bool = False,
 ) -> ArrayLike:
     """Per-channel normalization over all leading axes (channels last).
 
@@ -366,7 +390,9 @@ def batch_norm(
     is then normalized in place. Running mode folds the
     statistics and the affine into a per-channel scale s = gamma / sqrt(var
     + BN_EPS) and shift t = beta - mean s, and makes two passes over x:
-    x s, then + t.
+    x s, then + t; with overwrite, both go into x's memory when x is an
+    ndarray of the result's dtype. Batch mode ignores overwrite, since its
+    centred map is fresh anyway.
     """
     xv = _value(x)
     gv, bv = _value(gamma), _value(beta)
@@ -392,7 +418,10 @@ def batch_norm(
             raise ConfigError("batch_norm: running mode requires stored statistics")
         # stored statistics are buffers, never differentiated
         scale = gv / np.sqrt(_value(running_var) + BN_EPS)
-        out = xv * scale
+        if overwrite and type(x) is np.ndarray and xv.dtype == scale.dtype:
+            out = np.multiply(xv, scale, out=xv)
+        else:
+            out = xv * scale
         out += bv - _value(running_mean) * scale
         ctx = {}
     else:
@@ -630,7 +659,7 @@ def apply_linear(x: ArrayLike, p: LinearParams) -> ArrayLike:
     return linear(x, p.weight, p.bias)
 
 
-def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
+def apply_norm(x: ArrayLike, p: NormParams, *, overwrite: bool = False) -> ArrayLike:
     return batch_norm(
         x,
         p.gamma,
@@ -638,6 +667,7 @@ def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
         mode=p.mode,
         running_mean=p.running_mean,
         running_var=p.running_var,
+        overwrite=overwrite,
     )
 
 

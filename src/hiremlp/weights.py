@@ -62,9 +62,10 @@ class TensorFile(Mapping):
     """Read-only name -> float32 array mapping over an open container.
 
     Each lookup reads that one tensor into a fresh, aligned, read-only
-    array, so holding the mapping costs no payload memory. `len`, `in`
-    and iteration read nothing. The file is closed when the mapping is
-    dropped.
+    array, so holding the mapping costs no payload memory, and rejects a
+    non-finite value with InvalidInputError naming the path, the tensor and
+    the first flat index. `len`, `in`, iteration and `shape` read nothing.
+    The file is closed when the mapping is dropped.
     """
 
     def __init__(self, path: str | Path, fh, entries: dict[str, tuple[int, tuple[int, ...]]]):
@@ -82,8 +83,18 @@ class TensorFile(Mapping):
                 if not got:
                     raise _short(self._path, off, f"data of {name!r} {dims}", len(buf), done)
                 done += got
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(np.argmin(finite.reshape(-1)))  # the first False
+            raise InvalidInputError(
+                f"{self._path}: tensor {name!r}: non-finite value {out.flat[i]} at flat index {i}"
+            )
         out.flags.writeable = False
         return out
+
+    def shape(self, name: str) -> tuple[int, ...]:
+        """The dims of tensor `name`, from the header."""
+        return self._entries[name][1]
 
     def __contains__(self, name) -> bool:
         return name in self._entries

@@ -71,6 +71,22 @@ def test_summary_failed_budget_check_exits_1(capsys, tmp_path, as_json):
         assert out.count("FAIL") == 1 and out.count("PASS") == 1
 
 
+@pytest.mark.parametrize("kept", ["reference_params", "reference_flops"])
+def test_summary_checks_each_budget_whose_reference_is_given(capsys, tmp_path, kept):
+    doc = json.loads((CONFIGS / "tiny.json").read_text())
+    del doc["meta"]["reference_params"], doc["meta"]["reference_flops"]
+    doc["meta"][kept] = 12
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "summary", "--config", str(cfg))
+    assert code == 1 and err == ""
+    assert out.count("FAIL") == 1 and "PASS" not in out
+    code, out, err = run(capsys, "summary", "--config", str(cfg), "--json")
+    assert code == 1 and err == ""
+    checks = [(c["target"], c["pass"]) for c in json.loads(out)["budget_checks"]]
+    assert checks == [(kept.removeprefix("reference_"), False)]
+
+
 @pytest.mark.parametrize("hw", ["256x256", "800x1333"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_summary_checks_flops_only_at_the_reference_resolution(capsys, hw, as_json):
@@ -157,7 +173,33 @@ def test_forward_non_finite_input_exits_2(capsys, micro_cfg_path, tmp_path):
     code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--input", str(path))
     assert code == 2
     assert out == ""
-    assert err == "error: forward: input has 4800 non-finite values, the first at index (0, 0, 0, 0)\n"
+    # the input file's lookup rejects the value before the forward's own check sees it
+    assert err == f"error: {path}: tensor '': non-finite value nan at flat index 0\n"
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [("stages.1.blocks.0.hire.channel.weight", 5, np.nan), ("stages.0.embed.proj.weight", 0, np.inf)],
+)
+def test_forward_non_finite_weight_exits_2_naming_file_tensor_and_index(capsys, micro_cfg_path, tmp_path, name, index, value):
+    tensors = model_tensors(build_model(micro_config(), seed=0))
+    tensors[name].reshape(-1)[index] = value
+    path = tmp_path / "w.hire"
+    save_tensors(path, tensors)
+    code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--weights", str(path), "--random", "64x64x3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: tensor {name!r}: non-finite value {value} at flat index {index}\n"
+
+
+def test_forward_negative_running_variance_exits_2_naming_the_tensor(capsys, micro_cfg_path, tmp_path):
+    name = "stages.2.blocks.0.norm2.running_var"
+    tensors = model_tensors(build_model(micro_config(), seed=0))
+    tensors[name][3] = -0.25
+    path = tmp_path / "w.hire"
+    save_tensors(path, tensors)
+    code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--weights", str(path), "--random", "64x64x3")
+    assert (code, out) == (2, "")
+    assert err == f"error: weight '{name}': running variance -0.25 at flat index 3 is negative\n"
 
 
 _CHILD_PEAK = (

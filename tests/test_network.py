@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hiremlp import network
 from hiremlp import tensor as T
 from hiremlp.accounting import count_config, count_model
-from hiremlp.errors import ConfigError, InvalidInputError
+from hiremlp.errors import ConfigError, InvalidInputError, ShapeError
 from hiremlp.invariants import (
     GRAD_TOLERANCE,
     block_gradcheck,
@@ -115,6 +116,37 @@ def test_block_pure_residual_when_zeroed(rng):
     x = rng.standard_normal((1, 6, 6, 8)).astype(np.float32)
     out = np.asarray(hire_block(x, block))
     np.testing.assert_allclose(out, x, rtol=1e-6, atol=1e-7)
+
+
+def _every_stage(cfg, **changes):
+    return dataclasses.replace(cfg, stages=tuple(dataclasses.replace(st, **changes) for st in cfg.stages))
+
+
+_OWN_WRITES_CASES = {
+    "tiny-224x224-b1": (lambda: build_model(tiny_config(), seed=0), (1, 224, 224)),
+    "tiny-200x300-b2": (lambda: build_model(tiny_config(), seed=0), (2, 200, 300)),
+    "micro-zero-padding": (lambda: build_model(_every_stage(micro_config(), padding="zero"), seed=1), (1, 37, 41)),
+    # 96 gives stage extents 24, 12, 6, 3, each a multiple of its region size
+    "micro-shuffle": (lambda: build_model(_every_stage(micro_config(), manner="shuffle"), seed=2), (1, 96, 96)),
+    "micro-disable-cross": (lambda: disable_cross(micro_model(seed=3)), (1, 37, 41)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OWN_WRITES_CASES))
+def test_eager_forward_writes_only_its_own_intermediates(rng, case):
+    """With every model array and the input read-only, a write into any of
+    them raises; the eager forward, which overwrites its own intermediates,
+    equals the taped forward, which overwrites nothing, bitwise."""
+    build, (n, h, w) = _OWN_WRITES_CASES[case]
+    model = build()
+    x = rng.standard_normal((n, h, w, 3)).astype(np.float32)
+    for arr in [x] + [a for _, a in T.iter_arrays(model)]:
+        arr.setflags(write=False)
+    eager = forward(model, x)
+    tape = T.Tape()
+    taped = forward(T.bind_tree(model, tape), tape.leaf(x)).value
+    assert type(eager) is np.ndarray
+    assert (eager.dtype, eager.shape, eager.tobytes()) == (taped.dtype, taped.shape, taped.tobytes())
 
 
 def test_block_shape_contract(rng):
@@ -580,6 +612,29 @@ def test_model_weight_mismatch_detected(tmp_path):
     save_tensors(path, tensors)
     with pytest.raises(ConfigError):
         load_model_weights(micro_model(), load_tensors(path))
+
+
+@pytest.mark.parametrize("source", ["file", "dict"])
+@pytest.mark.parametrize("fault", ["last-shape", "negative-variance"])
+def test_failing_weight_load_leaves_the_model_unchanged(tmp_path, fault, source):
+    tensors = model_tensors(micro_model(seed=11))
+    if fault == "last-shape":
+        name = list(tensors)[-1]  # copied last, after every other array
+        tensors[name] = np.zeros(tensors[name].shape + (1,), dtype=np.float32)
+        error = ShapeError
+    else:
+        name = [n for n in tensors if n.endswith(".running_var")][-1]
+        tensors[name] = tensors[name].copy()
+        tensors[name][-1] = -0.5
+        error = InvalidInputError
+    if source == "file":
+        save_tensors(tmp_path / "m.hire", tensors)
+        tensors = load_tensors(tmp_path / "m.hire")
+    model = micro_model()
+    before = model_checksum(model)
+    with pytest.raises(error, match=re.escape(f"weight '{name}'")):
+        load_model_weights(model, tensors)
+    assert model_checksum(model) == before
 
 
 # ---------------------------------------------------------------------------

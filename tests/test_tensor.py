@@ -506,6 +506,73 @@ def test_backward_drops_the_gradients_of_constant_operands(rng):
     np.testing.assert_array_equal(g.wrt(untouched), np.zeros(4))
 
 
+# ---------------------------------------------------------------------------
+# overwrite: a result written into an operand the caller owns
+# ---------------------------------------------------------------------------
+
+
+def _overwrite_cases(rng) -> dict:
+    """name -> (operand, fn(operand, overwrite), whether an owned operand holds the result)."""
+    # 3*33*140*4 elements: more than one 32K-element GELU slice, the last one partial
+    x = rng.standard_normal((3, 33, 140, 4)).astype(np.float32) * 4
+    other = rng.standard_normal(x.shape).astype(np.float32)
+    gamma, beta, mean = (rng.standard_normal(4).astype(np.float32) for _ in range(3))
+    var = (0.1 + rng.random(4)).astype(np.float32)
+
+    def running(v, o):
+        return T.batch_norm(v, gamma, beta, mode="running", running_mean=mean, running_var=var, overwrite=o)
+
+    return {
+        "gelu/float32": (x, lambda v, o: T.gelu(v, overwrite=o), True),
+        # no flat view of x exists, so the GELU goes into a fresh flat copy
+        "gelu/float32-non-contiguous": (x.transpose(0, 2, 1, 3), lambda v, o: T.gelu(v, overwrite=o), False),
+        "gelu/float64": (x[:1, :4].astype(np.float64), lambda v, o: T.gelu(v, overwrite=o), True),
+        "add": (x, lambda v, o: T.add(v, other, overwrite=o), True),
+        "batch_norm_running": (x, running, True),
+        # batch mode ignores the flag: its centred map is fresh anyway
+        "batch_norm": (x, lambda v, o: T.batch_norm(v, gamma, beta, mode="batch", overwrite=o), False),
+    }
+
+
+_OVERWRITE_NAMES = list(_overwrite_cases(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("name", _OVERWRITE_NAMES)
+def test_overwrite_bitwise_equals_the_default(rng, name):
+    operand, fn, owned = _overwrite_cases(rng)[name]
+    kept = operand.copy()
+    want = fn(operand, False)
+    assert operand.tobytes() == kept.tobytes()  # the default writes into no operand
+    got = fn(operand, True)
+    assert type(got) is np.ndarray
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.shares_memory(got, operand) is owned
+
+
+@pytest.mark.parametrize("name", _OVERWRITE_NAMES)
+def test_overwrite_leaves_a_var_operand_unchanged_and_records_the_same_nodes(rng, name):
+    operand, fn, _ = _overwrite_cases(rng)[name]
+    recorded = []
+    for flag in (False, True):
+        leaf = operand.copy()
+        tape = T.Tape()
+        fn(tape.leaf(leaf), flag)
+        assert leaf.tobytes() == operand.tobytes()
+        recorded.append([
+            (node.op, node.parents, {k: np.asarray(v).tobytes() for k, v in node.ctx.items()}, node.value.tobytes())
+            for node in tape.nodes
+        ])
+    assert recorded[0] == recorded[1]
+
+
+def test_overwrite_of_a_read_only_operand_raises(rng):
+    x = rng.standard_normal((4, 3)).astype(np.float32)
+    x.setflags(write=False)
+    for fn in (lambda: T.gelu(x, overwrite=True), lambda: T.add(x, x, overwrite=True)):
+        with pytest.raises(ValueError, match="read-only"):
+            fn()
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -653,6 +720,19 @@ def test_weight_lookup_reads_one_fresh_aligned_read_only_array(tmp_path, rng, mo
         assert again is not arr
         np.testing.assert_array_equal(again, arr)
     assert sum(read) == path.stat().st_size + payload  # each lookup read its own tensor once
+
+
+def test_weight_lookup_rejects_a_non_finite_value_naming_path_tensor_and_index(tmp_path, rng):
+    bad = rng.standard_normal((3, 5)).astype(np.float32)
+    bad[1, 2], bad[2, 0] = -np.inf, np.nan
+    good = rng.standard_normal(4).astype(np.float32)
+    path = tmp_path / "w.hire"
+    save_tensors(path, {"bad": bad, "good": good})
+    back = load_tensors(path)
+    with pytest.raises(InvalidInputError) as e:
+        back["bad"]
+    assert str(e.value) == f"{path}: tensor 'bad': non-finite value -inf at flat index 7"
+    assert back["good"].tobytes() == good.tobytes()
 
 
 def test_weight_lookup_after_the_file_shrinks_names_path_and_offset(tmp_path):
