@@ -1,8 +1,9 @@
 """Command-line surface: summary, forward, invariants, gradcheck, ablate, bench.
 
 Exit codes: 0 success, 1 invariant/acceptance failure (including a failed
-budget check in `summary`), 2 usage/config error, 3 any other error, which
-prints one `error: <Type>: <message>` line instead of a traceback.
+budget check in `summary` and non-finite logits from `forward`), 2
+usage/config error, 3 any other error, which prints one `error: <Type>:
+<message>` line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .invariants import (
     preserves_cyclic_order,
     run_invariants,
 )
-from .network import assemble_model, build_model, forward, load_config, load_model_weights
+from .network import (
+    assemble_model,
+    build_model,
+    first_non_finite_path,
+    forward,
+    load_config,
+    load_model_weights,
+)
 from .rearrange import PADDING_MODES, RegionSpec, partition_pad
 from .variants import BUDGET_TOLERANCE, FC_SWEEP_REFERENCE, REFERENCE_HW, small_config
 from .weights import load_tensors
@@ -152,7 +160,17 @@ def cmd_forward(args) -> int:
             x = x[None]
     else:
         raise UsageError("forward needs --random HxWxC or --input FILE")
-    logits = np.asarray(forward(model, x))
+    # finite input and weights can still overflow; the one check on the
+    # logits below reports that, so numpy's warnings are silenced
+    with np.errstate(all="ignore"):
+        logits = np.asarray(forward(model, x))
+        if not np.isfinite(logits).all():
+            path = first_non_finite_path(model, x)
+            print(
+                f"error: forward: logits are not finite; the first non-finite output is {path}'s",
+                file=sys.stderr,
+            )
+            return 1
     k = min(args.topk, logits.shape[-1])
     payload = []
     for row in logits:

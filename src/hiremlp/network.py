@@ -413,6 +413,25 @@ def forward(model: Model, image: T.ArrayLike) -> T.ArrayLike:
     return T.apply_linear(pooled, model.head)
 
 
+def first_non_finite_path(model: Model, image: T.ArrayLike) -> str:
+    """For an image whose logits are not finite: the first cost-report path,
+    `stageN.embed`, `stageN.blockB` or `head`, whose output is not finite.
+
+    Re-runs the forward one path at a time and checks each output, so the
+    plain forward pays nothing for it. The head is named when every stage
+    output is finite."""
+    x = image
+    for i, stage in enumerate(model.stages):
+        x = patch_embed(x, stage.embed)
+        if not np.isfinite(T._value(x)).all():
+            return f"stage{i + 1}.embed"
+        for b, block in enumerate(stage.blocks):
+            x = hire_block(x, block)
+            if not np.isfinite(T._value(x)).all():
+                return f"stage{i + 1}.block{b}"
+    return "head"
+
+
 # ---------------------------------------------------------------------------
 # Builder
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,29 @@ def test_forward_negative_running_variance_exits_2_naming_the_tensor(capsys, mic
     code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--weights", str(path), "--random", "64x64x3")
     assert (code, out) == (2, "")
     assert err == f"error: weight '{name}': running variance -0.25 at flat index 3 is negative\n"
+
+
+@pytest.mark.parametrize(
+    "values, path",
+    [
+        ({"stages.0.embed.proj.weight": 3e37}, "stage1.embed"),
+        # a large but finite stage input, which one weight then overflows
+        ({"stages.1.embed.proj.bias": 1e30, "stages.1.blocks.0.channel_mlp.fc1.weight": 3e38}, "stage2.block0"),
+        ({"stages.3.embed.proj.bias": 1e30, "head.weight": 3e38}, "head"),
+    ],
+    ids=["embed", "block", "head"],
+)
+def test_forward_overflowing_finite_weights_exit_1_naming_the_first_non_finite_output(capsys, micro_cfg_path, tmp_path, values, path):
+    tensors = model_tensors(build_model(micro_config(), seed=0))
+    for name, value in values.items():
+        tensors[name][...] = value  # finite, so the weight file passes its checks
+    weights = tmp_path / "w.hire"
+    save_tensors(weights, tensors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the run with exit 3
+        code, out, err = run(capsys, "forward", "--config", micro_cfg_path, "--weights", str(weights), "--random", "64x64x3")
+    assert (code, out) == (1, "")
+    assert err == f"error: forward: logits are not finite; the first non-finite output is {path}'s\n"
 
 
 _CHILD_PEAK = (

@@ -1,10 +1,12 @@
 """tensor core: primitive ops, tape backward, finite differences, serialization."""
 
 import ast
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +222,8 @@ def _libm_gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grid() -> np.ndarray:
-    """10^6 + 1 float32 points on [-15, 15], plus +-0 and the clamp edges |x| = 4 sqrt 2."""
+    """10^6 + 1 float32 points on [-15, 15], plus +-0 and |x| = 4 sqrt 2, where
+    an earlier rational float32 erf was clamped."""
     edges = [0.0, -0.0, 4 * math.sqrt(2.0), -4 * math.sqrt(2.0)]
     return np.concatenate([np.linspace(-15.0, 15.0, 10**6 + 1), edges]).astype(np.float32)
 
@@ -239,6 +242,69 @@ def test_gelu_float64_matches_libm_erf():
     got = T.gelu(x)
     assert got.dtype == np.float64
     assert np.abs(got - _libm_gelu(x)).max() <= 1e-15
+
+
+# float32 GELU error bound, from measurement: over every float32 with
+# 2^-8 <= |x| < 16 the largest error against the float64 GELU is 5.87e-7, at
+# x = 4.9855294. Past 16 the logistic has saturated to x or -0, and below
+# 2^-8 the GELU is about x / 2, a few ulp of a small value.
+GELU32_ERROR = 6e-7
+GELU32_WORST_X = 4.9855294
+
+
+def test_gelu_float32_within_6e7_of_the_mpmath_gelu_on_a_grid():
+    x = np.append(np.linspace(-15.0, 15.0, 6001), GELU32_WORST_X).astype(np.float32)
+    want = np.array([erf_gelu(v) for v in x.astype(np.float64).tolist()])
+    assert np.abs(T.gelu(x).astype(np.float64) - want).max() <= GELU32_ERROR
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-20.0, 20.0, width=32))
+def test_gelu_float32_within_6e7_of_the_mpmath_gelu(v):
+    assert abs(float(T.gelu(np.array([v], np.float32))[0]) - erf_gelu(v)) <= GELU32_ERROR
+
+
+def test_gelu_float32_polynomial_rises_past_its_fit_interval():
+    p = np.polynomial.Polynomial(T._GELU32_P[::-1])
+    # P(36 + v) with no negative coefficient: P rises for x^2 >= 36, so the
+    # logistic saturates to the right side without a clamp
+    assert (p(np.polynomial.Polynomial([36.0, 1.0])).coef >= 0).all()
+    # logit(Phi(x)) / x -> 4 phi(0) = 2 sqrt(2 / pi) as x -> 0
+    assert abs(p(0.0) - 2.0 * math.sqrt(2.0 / math.pi)) < 1e-6
+
+
+def test_gelu_float32_coefficients_are_the_fit_scripts():
+    spec = importlib.util.spec_from_file_location("fit_gelu", Path(__file__).resolve().parent.parent / "scripts" / "fit_gelu.py")
+    fit_gelu = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_gelu)
+    # the committed tuple is the script's, printed to 8 significant digits
+    np.testing.assert_allclose(T._GELU32_P, fit_gelu.fit(), rtol=1e-6)
+
+
+def _gelu32_every_path(x: np.ndarray) -> list[np.ndarray]:
+    """float32 GELU by the eager default, with overwrite, and on a tape."""
+    tape = T.Tape()
+    return [T.gelu(x), T.gelu(x.copy(), overwrite=True), T.gelu(tape.leaf(x)).value]
+
+
+def test_gelu_float32_saturates_at_finite_extremes_without_a_warning():
+    x = np.array([3e38, -3e38, 1e10, -1e10, *range(-11, -101, -1)], np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = _gelu32_every_path(x)
+    for got in results:
+        assert got.tobytes() == results[0].tobytes()
+    got = results[0]
+    assert got[0] == np.float32(3e38) and got[2] == np.float32(1e10)
+    assert got[1] == 0.0 and np.signbit(got[1])
+    assert np.abs(got[3:].astype(np.float64) - _libm_gelu(x[3:])).max() <= GELU32_ERROR
+
+
+def test_gelu_float32_of_inf_and_nan():
+    x = np.array([np.inf, -np.inf, np.nan], np.float32)
+    with np.errstate(invalid="ignore"):  # -inf / inf is NaN
+        for got in _gelu32_every_path(x):
+            assert got[0] == np.inf and np.isnan(got[1:]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +579,9 @@ def test_backward_drops_the_gradients_of_constant_operands(rng):
 
 def _overwrite_cases(rng) -> dict:
     """name -> (operand, fn(operand, overwrite), whether an owned operand holds the result)."""
-    # 3*33*140*4 elements: more than one 32K-element GELU slice, the last one partial
-    x = rng.standard_normal((3, 33, 140, 4)).astype(np.float32) * 4
+    # 6*33*140*4 elements: more than one float32 GELU slice, the last one partial
+    x = rng.standard_normal((6, 33, 140, 4)).astype(np.float32) * 4
+    assert T._GELU32_BLOCK < x.size < 2 * T._GELU32_BLOCK
     other = rng.standard_normal(x.shape).astype(np.float32)
     gamma, beta, mean = (rng.standard_normal(4).astype(np.float32) for _ in range(3))
     var = (0.1 + rng.random(4)).astype(np.float32)
