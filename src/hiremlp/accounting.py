@@ -13,7 +13,6 @@ tokens ARE counted by the traversal (closed form assumes divisibility).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,27 +42,6 @@ class CostReport:
         p = sum(e.params for e in self.breakdown if e.path.startswith(prefix))
         f = sum(e.flops for e in self.breakdown if e.path.startswith(prefix))
         return p, f
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "params": self.params,
-                "flops": self.flops,
-                "breakdown": [
-                    {"path": e.path, "params": e.params, "flops": e.flops}
-                    for e in self.breakdown
-                ],
-            },
-            indent=2,
-        )
-
-    def to_text(self) -> str:
-        width = max([len(e.path) for e in self.breakdown] + [len("TOTAL")])
-        lines = [f"{'module':<{width}}  {'params':>12}  {'flops':>14}"]
-        for e in self.breakdown:
-            lines.append(f"{e.path:<{width}}  {e.params:>12,}  {e.flops:>14,}")
-        lines.append(f"{'TOTAL':<{width}}  {self.params:>12,}  {self.flops:>14,}")
-        return "\n".join(lines)
 
 
 def hire_module_closed_form(h: int, w: int, c: int, height: int, width: int) -> tuple[int, int]:

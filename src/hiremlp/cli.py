@@ -467,11 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--hw", default="224x224")
     p.add_argument("--batch", type=_positive_int, default=1)
-    # the warm-up calls and at least one measured call
-    p.add_argument(
-        "--iters", default=10,
-        type=lambda text: _int_at_least(text, BENCH_WARMUP + 1, f"an integer >= {BENCH_WARMUP + 1}"),
-    )
+    p.add_argument("--iters", type=_positive_int, default=10, help=f"measured calls, after {BENCH_WARMUP} warm-up calls")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

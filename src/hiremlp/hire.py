@@ -77,14 +77,14 @@ def bottleneck_mlp(v: T.ArrayLike, p: BottleneckMlpParams) -> T.ArrayLike:
     """linear -> [norm] -> GELU -> ... -> linear on the last axis.
 
     Rebinding v drops each map after its last read, the input included when
-    the caller passed it as a temporary; the norm and GELU overwrite the
-    fresh FC output they are given."""
+    the caller passed it as a temporary; the GELU overwrites the fresh map
+    it is given (a float32 one; see tensor.gelu)."""
     n = len(p.layers)
     for i, layer in enumerate(p.layers):
         v = T.apply_linear(v, layer)
         if i < n - 1:
             if i == 0 and p.norm is not None:
-                v = T.apply_norm(v, p.norm, overwrite=True)
+                v = T.apply_norm(v, p.norm)
             v = T.gelu(v, overwrite=True)
     return v
 
@@ -125,10 +125,7 @@ def _branch_gathers(
 
 
 def _index_map(idx: np.ndarray | None, extent: int) -> T.IndexMap | None:
-    if idx is None:
-        return None
-    idx.setflags(write=False)
-    return T.IndexMap(idx, extent)
+    return None if idx is None else T.IndexMap.frozen(idx, extent)
 
 
 def hire_branch(x: T.ArrayLike, cfg: HireBranchConfig) -> T.ArrayLike:
@@ -171,12 +168,10 @@ class HireModuleParams:
 
 
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
-    """Sum of the branch outputs: (width + height) + channel.
-
-    Each branch output is fresh, never x or a view of it, so the sums go
-    into the width branch's output."""
-    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height), overwrite=True)
-    return T.add(spatial, T.apply_linear(x, p.channel), overwrite=True)
+    """Sum of the branch outputs: (width + height) + channel, each sum a
+    fresh array."""
+    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
+    return T.add(spatial, T.apply_linear(x, p.channel))
 
 
 def bottleneck_widths(region_size: int, channels: int, n_layers: int) -> list[int]:

@@ -293,7 +293,7 @@ def op_grad_cases(rng) -> list[tuple[str, np.ndarray, Callable]]:
     b = rng.standard_normal(5)
     gamma = rng.standard_normal(c) + 1.5
     beta = rng.standard_normal(c)
-    idx = rng.integers(0, h, size=h + 2)
+    idx = T.IndexMap.frozen(rng.integers(0, h, size=h + 2), h)
     other = rng.standard_normal(x4.shape)
     # keep relu inputs away from the kink, where central differences are one-sided
     x_relu = np.where(np.abs(x4) < 0.05, x4 + 0.5, x4)
@@ -425,7 +425,9 @@ def check_no_mutation(seeds: int, rng) -> tuple[bool, str]:
         T.linear(x, w, np.zeros(4))
         T.gelu(x)
         T.relu(x)
-        T.apply_norm(x, T.identity_norm(x.shape[-1], dtype=np.float64, mode="batch"))
+        for mode in ("batch", "running"):
+            T.apply_norm(x, T.identity_norm(x.shape[-1], dtype=np.float64, mode=mode))
+        T.add(x, x[::-1].copy())
         spec = RegionSpec("height", 2, "circular")
         inner_restore(inner_rearrange(partition_pad(x, spec), spec), spec)
         cross_rearrange(x, "width", ShiftSpec(1 % x.shape[2]))

@@ -310,10 +310,10 @@ def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
 def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y.
 
-    Each residual sum goes into the fresh module or MLP output, never into
-    x, which the caller may read again."""
-    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x, overwrite=True)
-    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y, overwrite=True)
+    Every norm and sum returns a fresh array and writes into none of its
+    operands."""
+    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
+    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
 
 
 @functools.lru_cache(maxsize=256)
@@ -329,8 +329,7 @@ def _unfold_window(extent: int, out: int, kernel: int, stride: int, padding: str
         extent += pad
     elif pad:
         window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
-    window.setflags(write=False)
-    return pad, T.IndexMap(window, extent)
+    return pad, T.IndexMap.frozen(window, extent)
 
 
 def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, padding: str) -> T.ArrayLike:

@@ -14,14 +14,12 @@ Two levels operate on NHWC feature maps along a chosen spatial axis:
 so inner-region rearrangement always sees a divisible extent; `crop_pad`
 undoes it. `pad_axis`, shared with the patch embeddings, is the one
 padding routine. Padding by nothing returns the input itself, and so does
-`crop_pad` when nothing was padded. That aliasing stays safe although
-`gelu`, `add` and running-mode `batch_norm` may overwrite an operand
-(their `overwrite` flag): callers pass the flag only for a map they have
-just made, such as a fresh FC output or a branch output, whose every alias
-is their own. A pass-through of a branch's input only feeds
-`inner_rearrange` and the first FC, which read it. The width-axis inner
-rearrangement and restore are reshape views; every other transform is an
-index-mapped copy. All of them record on a tape when handed Vars.
+`crop_pad` when nothing was padded. That aliasing is safe because the one
+op that writes in place, the float32 `gelu` with `overwrite=True`, is only
+handed a fresh FC output, never a map these functions pass through. The
+width-axis inner rearrangement and restore are reshape views; every other
+transform is an index-mapped copy. All of them record on a tape when
+handed Vars.
 
 The gathers are built by `pad_index`, `cross_index` and
 `cross_restore_index`, so a caller can compose them: `hire.hire_branch`
@@ -99,7 +97,8 @@ def pad_axis(x: T.ArrayLike, axis: int, before: int, after: int, mode: str) -> T
         return x
     if mode == "zero":
         return T.pad_zero(x, axis, before, after)
-    return T.take(x, pad_index(T._value(x).shape[axis], before, after, mode), axis)
+    extent = T._value(x).shape[axis]
+    return T.take(x, T.IndexMap.frozen(pad_index(extent, before, after, mode), extent), axis)
 
 
 def partition_pad(x: T.ArrayLike, spec: RegionSpec) -> T.ArrayLike:
@@ -209,7 +208,8 @@ def cross_rearrange(
     (regions x offset) factorization transposed, interleaving regions.
     """
     ax = AXIS_INDEX[axis]
-    return T.take(x, cross_index(T._value(x).shape[ax], shift, region_size), ax)
+    extent = T._value(x).shape[ax]
+    return T.take(x, T.IndexMap.frozen(cross_index(extent, shift, region_size), extent), ax)
 
 
 def cross_restore(
@@ -217,4 +217,5 @@ def cross_restore(
 ) -> T.ArrayLike:
     """Exact inverse of cross_rearrange."""
     ax = AXIS_INDEX[axis]
-    return T.take(x, cross_restore_index(T._value(x).shape[ax], shift, region_size), ax)
+    extent = T._value(x).shape[ax]
+    return T.take(x, T.IndexMap.frozen(cross_restore_index(extent, shift, region_size), extent), ax)

@@ -1,15 +1,14 @@
 """Dense-array primitives and a minimal reverse-mode tape.
 
 Feature maps are plain numpy arrays in NHWC layout (row-major, channels
-fastest-varying). By default every op here is pure: no op writes into one
-of its inputs, or into a result it has already returned. A result may
-share memory with an input, though: `reshape` returns a view whenever
-numpy can give one, so a caller that wants to write into a result must own
-it. `gelu`, `add` and running-mode `batch_norm` take `overwrite=True` from
-a caller that owns its (first) operand and reads it no more: the op may
-then write its result into that operand's memory and return it, with the
-same values as without the flag. A Var operand ignores the flag, because
-the tape keeps its value.
+fastest-varying). Every op here but one is pure: it writes into none of
+its inputs, nor into a result it has already returned. A result may share
+memory with an input, though: `reshape` returns a view whenever numpy can
+give one, so a caller that wants to write into a result must own it. The
+one exception is `gelu(x, overwrite=True)` on a float32 ndarray, which
+writes its result into x; the model passes it only a fresh FC output that
+it reads no more. It is the one in-place write measured to lower the eager
+forward's peak memory.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
 `Tape`; every op returns through `_result`, which records the op when
 any input is a `Var` so `backward` can replay adjoints. One tape serves
@@ -222,15 +221,11 @@ def backward(tape: Tape, output: Var) -> Gradients:
 # ---------------------------------------------------------------------------
 
 
-def add(a: ArrayLike, b: ArrayLike, *, overwrite: bool = False) -> ArrayLike:
-    """Elementwise sum; shapes must match exactly (no broadcasting). With
-    overwrite, the sum goes into a's memory when a is an ndarray of the
-    sum's dtype."""
+def add(a: ArrayLike, b: ArrayLike) -> ArrayLike:
+    """Elementwise sum; shapes must match exactly (no broadcasting)."""
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
         raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-    if overwrite and type(a) is np.ndarray and av.dtype == bv.dtype:
-        return _result("add", np.add(av, bv, out=av), (a, b), {})
     return _result("add", av + bv, (a, b), {})
 
 
@@ -347,17 +342,15 @@ def _gelu32(x: Array, out: Array, cdf: Array | None = None) -> None:
 def gelu(x: ArrayLike, *, overwrite: bool = False) -> ArrayLike:
     """GELU: x Phi(x) = 0.5 x (1 + erf(x / sqrt 2)). float32 takes the
     logistic form above, within 2e-6 absolute of the float64 GELU; every
-    other dtype takes libm's erf per element. With overwrite, an ndarray x
-    is overwritten by its GELU (float32: one slice at a time, into a fresh
-    flat copy when x's elements cannot be viewed flat)."""
+    other dtype takes libm's erf per element. With overwrite, a float32
+    ndarray x is overwritten by its GELU, one slice at a time (into a fresh
+    flat copy when x's elements cannot be viewed flat). Other dtypes ignore
+    the flag: their eager result already goes into the fresh CDF array."""
     xv = _value(x)
     if xv.dtype != np.float32:
         cdf = _libm_cdf(xv)
         if type(x) is Var:
             return _result("gelu", xv * cdf, (x,), {"x": xv, "cdf": cdf})
-        if overwrite:
-            xv *= cdf
-            return xv
         cdf *= xv  # eager: no adjoint needs the cdf, so it becomes the result
         return cdf
     flat = xv.reshape(-1)
@@ -385,7 +378,6 @@ def batch_norm(
     mode: str,
     running_mean: Array | None = None,
     running_var: Array | None = None,
-    overwrite: bool = False,
 ) -> ArrayLike:
     """Per-channel normalization over all leading axes (channels last).
 
@@ -397,10 +389,8 @@ def batch_norm(
     (the same two-pass sums numpy's mean and var take), and the centred map
     is then normalized in place. Running mode folds the
     statistics and the affine into a per-channel scale s = gamma / sqrt(var
-    + BN_EPS) and shift t = beta - mean s, and makes two passes over x:
-    x s, then + t; with overwrite, both go into x's memory when x is an
-    ndarray of the result's dtype. Batch mode ignores overwrite, since its
-    centred map is fresh anyway.
+    + BN_EPS) and shift t = beta - mean s, and makes two passes: x s into
+    a fresh array, then + t in place. Neither mode writes into x.
     """
     xv = _value(x)
     gv, bv = _value(gamma), _value(beta)
@@ -426,10 +416,7 @@ def batch_norm(
             raise ConfigError("batch_norm: running mode requires stored statistics")
         # stored statistics are buffers, never differentiated
         scale = gv / np.sqrt(_value(running_var) + BN_EPS)
-        if overwrite and type(x) is np.ndarray and xv.dtype == scale.dtype:
-            out = np.multiply(xv, scale, out=xv)
-        else:
-            out = xv * scale
+        out = xv * scale
         out += bv - _value(running_mean) * scale
         ctx = {}
     else:
@@ -480,17 +467,12 @@ def _adj_transpose(node: _Node, g: Array):
     return [(0, np.ascontiguousarray(g.transpose(inv)))]
 
 
-def _out_of_range(idx: Array, extent: int) -> bool:
-    return bool(idx.size) and (idx.min() < 0 or idx.max() >= extent)
-
-
 @dataclass(frozen=True, eq=False)
 class IndexMap:
     """Gather positions along an axis of `extent`, checked in range once, here.
 
-    `value` is a read-only intp array; `take` given an IndexMap checks only
-    that the axis it gathers from has this extent. Cached gathers (a hire
-    branch's, a patch embedding's windows) are IndexMaps.
+    `value` is a read-only intp array; `take` checks only that the axis it
+    gathers from has this extent. `frozen` builds one from a fresh array.
     """
 
     value: Array
@@ -500,32 +482,34 @@ class IndexMap:
         idx = self.value
         if type(idx) is not np.ndarray or idx.dtype != np.intp or idx.flags.writeable:
             raise InvalidInputError("IndexMap: positions must be a read-only intp array")
-        if _out_of_range(idx, self.extent):
+        if idx.size and (idx.min() < 0 or idx.max() >= self.extent):
             raise InvalidInputError(f"IndexMap: position out of range for extent {self.extent}")
 
+    @classmethod
+    def frozen(cls, idx: Array, extent: int) -> IndexMap:
+        """The IndexMap of a fresh intp array that the caller hands over and
+        writes no more: the array itself is made read-only, not copied."""
+        idx.setflags(write=False)
+        return cls(idx, extent)
 
-def take(x: ArrayLike, idx: Array | IndexMap, axis: int) -> ArrayLike:
-    """Gather along one axis: out[..., i, ...] = x[..., idx[i], ...].
+
+def take(x: ArrayLike, idx: IndexMap, axis: int) -> ArrayLike:
+    """Gather along one axis: out[..., i, ...] = x[..., idx.value[i], ...].
 
     idx may repeat entries (the adjoint scatter-adds), which is how the
     circular/reflect/replicate paddings and all token permutations are built.
-    Every entry of a plain index array is checked against the extent on each
-    call; an IndexMap was checked when it was built.
+    idx must be an IndexMap built for the extent of that axis; its entries
+    were checked when it was built.
     """
+    if type(idx) is not IndexMap:
+        raise InvalidInputError(f"take: expected an IndexMap, got {type(idx).__name__}")
     xv = _value(x)
     extent = xv.shape[axis]
-    if type(idx) is IndexMap:
-        if idx.extent != extent:
-            raise InvalidInputError(
-                f"take: index map built for extent {idx.extent}, not {extent}, along axis {axis}"
-            )
-        idx = idx.value
-    else:
-        idx = np.asarray(idx, dtype=np.intp)
-        if _out_of_range(idx, extent):
-            raise InvalidInputError(
-                f"take: index out of range for extent {extent} along axis {axis}"
-            )
+    if idx.extent != extent:
+        raise InvalidInputError(
+            f"take: index map built for extent {idx.extent}, not {extent}, along axis {axis}"
+        )
+    idx = idx.value
     return _result("take", xv.take(idx, axis=axis), (x,), {"idx": idx, "axis": axis, "in_shape": xv.shape})
 
 
@@ -667,16 +651,9 @@ def apply_linear(x: ArrayLike, p: LinearParams) -> ArrayLike:
     return linear(x, p.weight, p.bias)
 
 
-def apply_norm(x: ArrayLike, p: NormParams, *, overwrite: bool = False) -> ArrayLike:
-    return batch_norm(
-        x,
-        p.gamma,
-        p.beta,
-        mode=p.mode,
-        running_mean=p.running_mean,
-        running_var=p.running_var,
-        overwrite=overwrite,
-    )
+def apply_norm(x: ArrayLike, p: NormParams) -> ArrayLike:
+    # batch_norm by its module-level name, so a patched batch_norm is the one called
+    return batch_norm(x, p.gamma, p.beta, mode=p.mode, running_mean=p.running_mean, running_var=p.running_var)
 
 
 # ---------------------------------------------------------------------------

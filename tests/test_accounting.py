@@ -1,7 +1,5 @@
 """accounting: closed form, traversal, reconciliation, published budgets."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,17 +143,3 @@ def test_fc_sweep_against_published_totals():
     assert fc_sweep_ordered(sweep)
     # the claim fails on a sweep whose 2-FC variant outweighs its 4-FC one
     assert not fc_sweep_ordered({**sweep, 2: (sweep[4][0] + 1, sweep[2][1])})
-
-
-def test_report_json_shape():
-    rep = count_config(micro_config(), 64, 64)
-    data = json.loads(rep.to_json())
-    assert set(data) == {"params", "flops", "breakdown"}
-    assert data["params"] == rep.params
-    assert all(set(e) == {"path", "params", "flops"} for e in data["breakdown"])
-
-
-def test_report_text_contains_total():
-    rep = count_config(micro_config(), 64, 64)
-    text = rep.to_text()
-    assert "TOTAL" in text and f"{rep.params:,}" in text

@@ -483,7 +483,16 @@ def test_bench_zero_iters_exits_2(capsys, micro_cfg_path):
     assert captured.out == ""
     assert captured.err.startswith("usage: hiremlp bench ")
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert errors == ["hiremlp bench: error: argument --iters: expected an integer >= 6, got '0'"]
+    assert errors == ["hiremlp bench: error: argument --iters: expected a positive integer, got '0'"]
+
+
+def test_bench_one_iter_measures_one_call(capsys, micro_cfg_path):
+    code, out, _ = run(
+        capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["iters"], payload["warmup"]) == (1, 5)
 
 
 # ---------------------------------------------------------------------------
