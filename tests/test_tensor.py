@@ -407,6 +407,19 @@ def test_take_rejects_a_plain_index_array(read_only):
         T.take(x, [0, 2], 1)
 
 
+@pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read-only"])
+@pytest.mark.parametrize("idx", [[0, 3], [-1, 0]], ids=["past-end", "negative"])
+def test_take_checks_every_entry_of_a_plain_index_array(idx, read_only):
+    # A plain array never reaches the gather; wrapping it in the IndexMap that
+    # take requires is where every entry is checked against the extent.
+    x = np.zeros((2, 3))
+    index = _read_only(idx) if read_only else np.array(idx)
+    with pytest.raises(InvalidInputError, match="expected an IndexMap, got ndarray"):
+        T.take(x, index, 1)
+    with pytest.raises(InvalidInputError, match="out of range for extent 3"):
+        T.take(x, T.IndexMap.frozen(index, 3), 1)
+
+
 def test_index_map_frozen_makes_the_handed_array_read_only():
     idx = np.array([2, 0, 2])
     index = T.IndexMap.frozen(idx, 3)
