@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import statistics
 import sys
 import time
@@ -369,6 +370,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         logits = np.asarray(forward(model, x))
         times.append(time.perf_counter() - t0)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
     med = statistics.median(times[BENCH_WARMUP:])
     checksum = float(logits.sum())
     payload = {
@@ -381,6 +383,7 @@ def cmd_bench(args) -> int:
         "images_per_s": args.batch / med,
         "ms_per_image": 1000.0 * med / args.batch,
         "checksum": checksum,
+        "peak_rss_mb": peak_rss_mb,
         "build_s": build_s,
     }
     if args.json:
@@ -390,7 +393,7 @@ def cmd_bench(args) -> int:
             f"{payload['config']} @ {h}x{w}, batch {args.batch}: "
             f"{payload['images_per_s']:.2f} images/s "
             f"({payload['ms_per_image']:.1f} ms/image, median of {args.iters})  "
-            f"checksum {checksum:+.5f}"
+            f"checksum {checksum:+.5f}  peak RSS {peak_rss_mb:.1f} MB"
         )
     return 0
 

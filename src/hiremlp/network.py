@@ -557,12 +557,12 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
     """Fill a built model's arrays in place from a name -> array mapping.
 
-    Every name and shape, and the sign of every running variance, is
-    checked before the first copy, so a mismatch leaves the model as it
-    was; a `TensorFile` gives its shapes from its header, reading nothing.
-    A value the mapping rejects when a tensor is read for its copy (a
-    TensorFile's non-finite check) still raises after the arrays before it
-    were filled.
+    Every name and shape is checked, and every tensor looked up once and
+    dropped, before the first copy, so a mismatch, a negative running
+    variance or a value the mapping rejects on lookup (a `TensorFile`'s
+    non-finite check) leaves the model as it was. A TensorFile gives its
+    shapes from its header and reads each tensor twice, holding one at a
+    time.
     """
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))
@@ -577,14 +577,16 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
         if tuple(shape(name)) != arr.shape:
             raise ShapeError(f"weight '{name}': file {tuple(shape(name))} vs model {arr.shape}")
     for name in own:
-        if name.endswith(".running_var"):
-            var = np.asarray(tensors[name]).reshape(-1)
-            negative = var < 0
-            if negative.any():
-                i = int(np.argmax(negative))
-                raise InvalidInputError(
-                    f"weight '{name}': running variance {var[i]} at flat index {i} is negative"
-                )
+        if not name.endswith(".running_var"):
+            tensors[name]  # looked up for the mapping's own checks only, and dropped
+            continue
+        var = np.asarray(tensors[name]).reshape(-1)
+        negative = var < 0
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise InvalidInputError(
+                f"weight '{name}': running variance {var[i]} at flat index {i} is negative"
+            )
     for name, arr in own.items():
         arr[...] = tensors[name]
 

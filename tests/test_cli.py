@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -473,6 +474,18 @@ def test_bench_json_reports_build_time(capsys, micro_cfg_path):
     payload = json.loads(out)
     assert list(payload)[-1] == "build_s"
     assert 0 < payload["build_s"] < 60
+
+
+def test_bench_reports_peak_rss(capsys, micro_cfg_path):
+    code, out, _ = run(
+        capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1", "--json",
+    )
+    assert code == 0
+    peak = json.loads(out)["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
+    code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1")
+    assert code == 0
+    assert re.search(r"peak RSS \d+\.\d MB$", out.strip())
 
 
 def test_bench_zero_iters_exits_2(capsys, micro_cfg_path):

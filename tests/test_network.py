@@ -257,6 +257,24 @@ def test_forward_non_square(rng):
 
 
 @pytest.mark.parametrize(
+    "make_config, hw", [(micro_config, (224, 224)), (tiny_config, (200, 300))], ids=["micro", "tiny"]
+)
+def test_row_blocked_products_leave_the_forward_bitwise_unchanged(monkeypatch, make_config, hw):
+    # tiny's stage-1 products are split into row blocks; micro's 3136-row
+    # patch embedding is a thin product, which split would round differently
+    model = build_model(make_config(), seed=0)
+    x = np.random.default_rng(0).standard_normal((1, *hw, 3)).astype(np.float32)
+
+    def outputs():
+        return [np.asarray(a) for a in forward_features(model, x)] + [np.asarray(forward(model, x))]
+
+    blocked = outputs()
+    monkeypatch.setattr(T, "_LINEAR_ROWS", 1 << 30)  # every product whole
+    for got, want in zip(blocked, outputs()):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
     "make_config", [micro_config, tiny_config, small_config], ids=["micro", "tiny", "small"]
 )
 def test_forward_matches_sequential_reference(make_config):
@@ -634,6 +652,19 @@ def test_failing_weight_load_leaves_the_model_unchanged(tmp_path, fault, source)
     before = model_checksum(model)
     with pytest.raises(error, match=re.escape(f"weight '{name}'")):
         load_model_weights(model, tensors)
+    assert model_checksum(model) == before
+
+
+def test_non_finite_last_tensor_leaves_the_model_unchanged(tmp_path):
+    tensors = model_tensors(micro_model(seed=11))
+    name = list(tensors)[-1]  # copied last, after every other array
+    tensors[name] = tensors[name].copy()
+    tensors[name].flat[-1] = np.nan
+    save_tensors(tmp_path / "m.hire", tensors)
+    model = micro_model()
+    before = model_checksum(model)
+    with pytest.raises(InvalidInputError, match=re.escape(f"tensor '{name}': non-finite value nan")):
+        load_model_weights(model, load_tensors(tmp_path / "m.hire"))
     assert model_checksum(model) == before
 
 

@@ -78,6 +78,89 @@ def test_linear_zero_width_forward_and_backward(rng, x_shape, w_shape):
     np.testing.assert_array_equal(g.wrt(b), np.full(w_shape[1], x_shape[0]))
 
 
+_R = T._LINEAR_ROWS
+_BLOCK_ROWS = [0, 1, _R - 1, _R, _R + 1, 2 * _R + 3]
+
+
+def _plain_linear(x, w, b=None):
+    """One whole-map `x2 @ w`, then the bias in place, as linear did unblocked."""
+    out = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]) @ w
+    if b is not None:
+        out += b
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ndim", [2, 4])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("rows", _BLOCK_ROWS)
+def test_linear_row_blocks_bitwise_equal_one_plain_product(rng, rows, dtype, bias, ndim):
+    # 64 x 48 holds at least 2 * _LINEAR_ROWS entries, so longer products are blocked
+    x = rng.standard_normal((rows, 64) if ndim == 2 else (1, 1, rows, 64)).astype(dtype)
+    w = rng.standard_normal((64, 48)).astype(dtype)
+    b = rng.standard_normal(48).astype(dtype) if bias else None
+    assert _bitwise_equal(T.linear(x, w, b), _plain_linear(x, w, b))
+
+
+@pytest.mark.parametrize(
+    "rows, blocks", [(_R, []), (_R + 1, [_R // 2 + 1, _R // 2]), (2 * _R + 3, [684, 684, 683])]
+)
+def test_linear_splits_into_the_fewest_equal_blocks(rng, monkeypatch, rows, blocks):
+    seen = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        seen.append(a.shape[0])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    T.linear(rng.standard_normal((rows, 64)), rng.standard_normal((64, 48)))
+    assert seen == blocks
+
+
+def test_linear_row_blocks_on_a_tape_equal_the_plain_product(rng):
+    rows = 2 * _R + 3
+    x0 = rng.standard_normal((1, 1, rows, 64))
+    w0, b0 = rng.standard_normal((64, 48)), rng.standard_normal(48)
+    tape = T.Tape()
+    x, w, b = tape.leaf(x0), tape.leaf(w0), tape.leaf(b0)
+    out = T.linear(x, w, b)
+    assert _bitwise_equal(out.value, _plain_linear(x0, w0, b0))
+    g = T.backward(tape, T.sum_all(out))
+    ones = np.ones((rows, 48))
+    assert _bitwise_equal(g.wrt(x), (ones @ w0.T).reshape(x0.shape))
+    assert _bitwise_equal(g.wrt(w), x0.reshape(rows, 64).T @ ones)
+    assert _bitwise_equal(g.wrt(b), ones.sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("rows", [_R + 1, 20 * _R])
+@pytest.mark.parametrize("k, n", [(40, 40), (24, 12), (147, 8)])
+def test_linear_keeps_a_thin_product_whole(rng, k, n, rows, dtype):
+    # a weight under 2 * _LINEAR_ROWS entries is never split: split, some of
+    # these products sent blocks to OpenBLAS's small-matrix kernel, which
+    # rounds differently from the kernel of the whole product
+    x = rng.standard_normal((rows, k)).astype(dtype)
+    w = rng.standard_normal((k, n)).astype(dtype)
+    assert _bitwise_equal(T.linear(x, w), _plain_linear(x, w))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_linear_one_column_blocks_within_rounding_of_the_plain_product(rng, dtype):
+    # a one-column weight is split but runs gemv either way, which may round
+    # differently; each result is within k eps (|x| @ |w|), the error bound
+    # of two length-k sums, of the plain product
+    k = 2 * _R
+    x = rng.standard_normal((_R + 1, k)).astype(dtype)
+    w = rng.standard_normal((k, 1)).astype(dtype)
+    bound = k * np.finfo(dtype).eps * (np.abs(x) @ np.abs(w))
+    assert np.all(np.abs(T.linear(x, w) - _plain_linear(x, w)) <= bound)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     k=st.integers(1, 6),
