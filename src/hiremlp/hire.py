@@ -68,10 +68,6 @@ class BottleneckMlpParams:
                     f"do not match first hidden dim {self.layers[0].out_dim}"
                 )
 
-    @property
-    def width(self) -> int:
-        return self.layers[0].in_dim
-
 
 def bottleneck_mlp(v: T.ArrayLike, p: BottleneckMlpParams) -> T.ArrayLike:
     """linear -> [norm] -> GELU -> ... -> linear on the last axis.

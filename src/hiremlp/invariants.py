@@ -45,6 +45,7 @@ from .network import (
 )
 from .rearrange import (
     AXIS_INDEX,
+    MANNERS,
     PADDING_MODES,
     RegionSpec,
     ShiftSpec,
@@ -553,7 +554,7 @@ def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
     reject it with the same message."""
     cases = 0
     combos = itertools.product(
-        PADDING_MODES, ("shifted", "shuffle"), (True, False), (True, False), (np.float32, np.float64)
+        PADDING_MODES, MANNERS, (True, False), (True, False), (np.float32, np.float64)
     )
     for mode, manner, divisible, shifted, dtype in list(combos) * max(1, seeds // 10):
         axis = str(rng.choice(["height", "width"]))

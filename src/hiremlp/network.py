@@ -32,8 +32,7 @@ from .hire import (
     bottleneck_widths,
     hire_module,
 )
-from .rearrange import PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
-from .weights import TensorFile
+from .rearrange import MANNERS, PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
 
 MIN_INPUT = 32
 
@@ -97,7 +96,7 @@ class ModelConfig:
                 problems.append(f"stage {i}: step must be >= 0")
             if st.padding not in PADDING_MODES:
                 problems.append(f"stage {i}: unknown padding '{st.padding}'")
-            if st.manner not in ("shifted", "shuffle"):
+            if st.manner not in MANNERS:
                 problems.append(f"stage {i}: unknown manner '{st.manner}'")
         for i, r in enumerate(self.expansion_ratio):
             if r < 1:
@@ -317,40 +316,41 @@ def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
 
 
 @functools.lru_cache(maxsize=256)
-def _unfold_window(extent: int, out: int, kernel: int, stride: int, padding: str) -> tuple[int, T.IndexMap]:
-    """(pad, window) of `_unfold`: the axis's total padding and its gather.
+def _embed_gathers(h: int, w: int, kernel: int, stride: int, padding: str) -> tuple[int, int, T.IndexMap, T.IndexMap]:
+    """(pad_h, pad_w, rows, cols) of `patch_embed` on an h x w map.
 
-    The gather composes a non-zero padding; with zero padding it indexes
-    the padded axis. The window is cached, so it is a read-only IndexMap,
-    checked against the extent it reads once, here."""
-    pad = max(0, (out - 1) * stride + kernel - extent)
-    window = (np.arange(out)[:, None] * stride + np.arange(kernel)[None, :]).ravel()
-    if padding == "zero":
-        extent += pad
-    elif pad:
-        window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
-    return pad, T.IndexMap.frozen(window, extent)
-
-
-def _unfold(x: T.ArrayLike, axis: int, out: int, kernel: int, stride: int, padding: str) -> T.ArrayLike:
-    """Gather `out` overlapping windows of one axis, window after window.
-
-    Window o covers positions [o*stride, o*stride + kernel) of the axis
-    padded, split evenly before and after, until the last window fits. A
-    non-zero padding is composed into the gather; zero padding pads first.
+    Window o of an axis covers positions [o*stride, o*stride + kernel) of
+    the axis padded, split evenly before and after, until the last window
+    fits. `rows` gathers every window's kernel rows along H; `cols` reads
+    the (kernel row, W') axis of the row-gathered map at
+    kh * W' + col_window[ow, kw], so windows come out in (ow, kh, kw) order.
+    A non-zero padding is composed into both maps; with zero padding they
+    index the padded axes. The maps are cached, so they are read-only
+    IndexMaps, checked once, here; they hold oh*k and ow*k*k entries.
     """
-    pad, window = _unfold_window(T._value(x).shape[axis], out, kernel, stride, padding)
-    if padding == "zero":
-        x = pad_axis(x, axis, pad // 2, pad - pad // 2, padding)
-    return T.take(x, window, axis)
+    axes = []
+    for extent in (h, w):
+        out = -(-extent // stride)
+        pad = max(0, (out - 1) * stride + kernel - extent)
+        window = np.arange(out)[:, None] * stride + np.arange(kernel)
+        if padding == "zero":
+            extent += pad
+        elif pad:
+            window = pad_index(extent, pad // 2, pad - pad // 2, padding)[window]
+        axes.append((pad, window, extent))
+    (pad_h, rows, h_read), (pad_w, cols, w_read) = axes
+    cols = np.arange(kernel)[:, None] * w_read + cols[:, None, :]
+    rows, cols = T.IndexMap.frozen(rows.ravel(), h_read), T.IndexMap.frozen(cols.ravel(), kernel * w_read)
+    return pad_h, pad_w, rows, cols
 
 
 def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     """Overlapping-window unfold + linear projection.
 
     Output spatial extents are ceil(extent / stride); windows that overrun
-    the input read padded tokens (stage padding mode). The windows cost one
-    gather per axis and one transpose; the reshapes are views.
+    the input read padded tokens (stage padding mode). The windows cost two
+    gathers, rows along H and then (kernel row, column) pairs, which leave
+    them in (oh, ow, kh, kw) order; the reshapes are views.
     """
     xv = T._value(x)
     if xv.ndim != 4:
@@ -359,13 +359,14 @@ def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     if h < 1 or w < 1:
         raise InvalidInputError("patch_embed: input has no tokens")
     k, st = p.spec.kernel, p.spec.stride
-    oh = -(-h // st)
-    ow = -(-w // st)
-    x = _unfold(x, 1, oh, k, st, p.padding)  # [N, oh*k, W, C]
-    x = T.reshape(x, (n, oh, k, w, c))
-    x = _unfold(x, 3, ow, k, st, p.padding)  # [N, oh, k, ow*k, C]
-    x = T.reshape(x, (n, oh, k, ow, k, c))
-    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
+    oh, ow = -(-h // st), -(-w // st)
+    pad_h, pad_w, rows, cols = _embed_gathers(h, w, k, st, p.padding)
+    if p.padding == "zero":
+        x = pad_axis(x, 1, pad_h // 2, pad_h - pad_h // 2, "zero")
+        x = pad_axis(x, 2, pad_w // 2, pad_w - pad_w // 2, "zero")
+    x = T.take(x, rows, 1)  # [N, oh*k, W', C]
+    x = T.reshape(x, (n, oh, cols.extent, c))
+    x = T.take(x, cols, 2)  # [N, oh, ow*k*k, C]
     x = T.reshape(x, (n, oh, ow, k * k * c))
     return T.apply_linear(x, p.proj)
 
@@ -557,12 +558,12 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
     """Fill a built model's arrays in place from a name -> array mapping.
 
-    Every name and shape is checked, and every tensor looked up once and
-    dropped, before the first copy, so a mismatch, a negative running
-    variance or a value the mapping rejects on lookup (a `TensorFile`'s
-    non-finite check) leaves the model as it was. A TensorFile gives its
-    shapes from its header and reads each tensor twice, holding one at a
-    time.
+    Every name is checked, then every tensor looked up once, its shape
+    compared and dropped, before the first copy, so a mismatch, a negative
+    running variance or a value the mapping rejects on lookup (a
+    `TensorFile`'s non-finite check) leaves the model as it was. Of several
+    faults, the one reported is that of the first failing tensor in model
+    order. A TensorFile reads each tensor twice, holding one at a time.
     """
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))
@@ -572,21 +573,16 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
             f"weight mismatch: missing {missing[:3]}{'...' if len(missing) > 3 else ''}, "
             f"unexpected {extra[:3]}{'...' if len(extra) > 3 else ''}"
         )
-    shape = tensors.shape if isinstance(tensors, TensorFile) else lambda name: tensors[name].shape
     for name, arr in own.items():
-        if tuple(shape(name)) != arr.shape:
-            raise ShapeError(f"weight '{name}': file {tuple(shape(name))} vs model {arr.shape}")
-    for name in own:
-        if not name.endswith(".running_var"):
-            tensors[name]  # looked up for the mapping's own checks only, and dropped
-            continue
-        var = np.asarray(tensors[name]).reshape(-1)
-        negative = var < 0
-        if negative.any():
-            i = int(np.argmax(negative))
+        value = np.asarray(tensors[name])
+        if value.shape != arr.shape:
+            raise ShapeError(f"weight '{name}': file {value.shape} vs model {arr.shape}")
+        if name.endswith(".running_var") and (value < 0).any():
+            i = int(np.argmax(value.reshape(-1) < 0))
             raise InvalidInputError(
-                f"weight '{name}': running variance {var[i]} at flat index {i} is negative"
+                f"weight '{name}': running variance {value.flat[i]} at flat index {i} is negative"
             )
+        del value  # the next lookup reads before it would rebind `value`
     for name, arr in own.items():
         arr[...] = tensors[name]
 

@@ -39,6 +39,7 @@ from .errors import ConfigError, InvalidInputError, ShapeError
 
 AXIS_INDEX = {"height": 1, "width": 2}
 PADDING_MODES = ("zero", "circular", "reflect", "replicate")
+MANNERS = ("shifted", "shuffle")
 _NP_PAD_MODE = {"circular": "wrap", "reflect": "reflect", "replicate": "edge"}
 
 
@@ -69,7 +70,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.step < 0:
             raise ConfigError(f"ShiftSpec: step must be nonnegative, got {self.step}")
-        if self.manner not in ("shifted", "shuffle"):
+        if self.manner not in MANNERS:
             raise ConfigError(f"ShiftSpec: unknown manner '{self.manner}'")
 
 

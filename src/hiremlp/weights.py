@@ -64,7 +64,7 @@ class TensorFile(Mapping):
     Each lookup reads that one tensor into a fresh, aligned, read-only
     array, so holding the mapping costs no payload memory, and rejects a
     non-finite value with InvalidInputError naming the path, the tensor and
-    the first flat index. `len`, `in`, iteration and `shape` read nothing.
+    the first flat index. `len`, `in` and iteration read nothing.
     The file is closed when the mapping is dropped.
     """
 
@@ -91,10 +91,6 @@ class TensorFile(Mapping):
             )
         out.flags.writeable = False
         return out
-
-    def shape(self, name: str) -> tuple[int, ...]:
-        """The dims of tensor `name`, from the header."""
-        return self._entries[name][1]
 
     def __contains__(self, name) -> bool:
         return name in self._entries

@@ -129,17 +129,6 @@ def two_pass_batch_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, g: n
     return xhat * gamma + beta, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
-def unfold_one_axis(x: np.ndarray, axis: int, out: int, kernel: int, stride: int, padding: str) -> np.ndarray:
-    """`out` windows of `kernel` tokens, `stride` apart, cut one by one from
-    x padded by np.pad, split evenly before and after, and concatenated."""
-    pad = max(0, (out - 1) * stride + kernel - x.shape[axis])
-    widths = [(0, 0)] * x.ndim
-    widths[axis] = (pad // 2, pad - pad // 2)
-    xp = np.pad(x, widths, mode=_NP_PAD[padding])
-    pieces = [np.take(xp, np.arange(o * stride, o * stride + kernel), axis) for o in range(out)]
-    return np.concatenate(pieces, axis)
-
-
 def reference_linear(x: np.ndarray, p) -> np.ndarray:
     y = (x.reshape(-1, x.shape[-1]) @ p.weight).reshape(x.shape[:-1] + (p.weight.shape[1],))
     return y + p.bias

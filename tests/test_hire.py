@@ -75,7 +75,7 @@ def test_bottleneck_dims_contract():
             T.LinearParams(np.zeros((2, 8)), np.zeros(8)),
         ]
     )
-    assert p.width == 8
+    assert p.layers[0].in_dim == 8
     out = np.asarray(bottleneck_mlp(np.ones((3, 8)), p))
     assert out.shape == (3, 8)
 

@@ -22,6 +22,7 @@ from hiremlp.invariants import (
     GRAD_TOLERANCE,
     block_gradcheck,
     check_translation_equivariance,
+    input_grad_error,
     rel_error,
 )
 from hiremlp.network import (
@@ -52,7 +53,13 @@ from hiremlp.rearrange import PADDING_MODES
 from hiremlp.variants import micro_config, small_config, tiny_config
 from hiremlp.weights import load_tensors, save_tensors
 
-from oracles import erf_gelu, per_token_mlp, reference_forward, reference_trunc_normal, unfold_one_axis
+from oracles import (
+    erf_gelu,
+    per_token_mlp,
+    reference_forward,
+    reference_patch_embed,
+    reference_trunc_normal,
+)
 
 
 def micro_model(seed=0):
@@ -198,37 +205,67 @@ def test_patch_embed_non_overlapping_equals_reshape_oracle(rng):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+def identity_embed(kernel, stride, padding, c=2):
+    """Patch embedding whose projection is the identity, so its output is
+    the gathered windows themselves, bit for bit."""
+    k2c = kernel * kernel * c
+    proj = T.LinearParams(np.eye(k2c), np.zeros(k2c))
+    return PatchEmbedParams(spec=PatchEmbedSpec(kernel=kernel, stride=stride), padding=padding, proj=proj)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    extent=st.integers(1, 20),
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
     stride=st.integers(1, 4),
     overlap=st.integers(0, 4),
-    axis=st.sampled_from([1, 2]),
     padding=st.sampled_from(PADDING_MODES),
 )
-def test_unfold_bitwise_equals_uncached_oracle(extent, stride, overlap, axis, padding):
-    kernel, out = stride + overlap, -(-extent // stride)  # as patch_embed calls it
-    shape = [2, 3, 3, 4]
-    shape[axis] = extent
-    x = np.random.default_rng(extent).standard_normal(shape)
-    if padding == "reflect" and extent == 1 and (out - 1) * stride + kernel > 1:
+def test_patch_embed_bitwise_equals_sliding_window_oracle(h, w, stride, overlap, padding):
+    kernel = stride + overlap
+    p = identity_embed(kernel, stride, padding)
+    x = np.random.default_rng(h * 32 + w).standard_normal((2, h, w, 2))
+    # each axis's total padding, as reference_patch_embed pads
+    pads = [(-(-extent // stride) - 1) * stride + kernel - extent for extent in (h, w)]
+    if padding == "reflect" and any(extent == 1 and pad for extent, pad in zip((h, w), pads)):
         with pytest.raises(InvalidInputError):
-            network._unfold(x, axis, out, kernel, stride, padding)
+            patch_embed(x, p)
         return
-    want = unfold_one_axis(x, axis, out, kernel, stride, padding)
-    for _ in range(2):  # the first call may build the window, the second reads the cache
-        got = network._unfold(x, axis, out, kernel, stride, padding)
+    want = reference_patch_embed(x, p)
+    for _ in range(2):  # the first call may build the gathers, the second reads the cache
+        got = np.asarray(patch_embed(x, p))
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_unfold_window_cache_is_read_only():
+def test_embed_gathers_are_cached_and_read_only():
     for padding in PADDING_MODES:
-        _pad, window = network._unfold_window(7, 2, 7, 4, padding)
-        assert network._unfold_window(7, 2, 7, 4, padding)[1] is window
-        # zero padding pads first, so its window reads the padded axis
-        assert window.extent == (7 + 4 if padding == "zero" else 7)
-        with pytest.raises(ValueError):
-            window.value[0] = 1
+        maps = network._embed_gathers(7, 9, 7, 4, padding)
+        assert network._embed_gathers(7, 9, 7, 4, padding) is maps
+        pad_h, pad_w, rows, cols = maps
+        assert (pad_h, pad_w) == (4, 6)
+        # zero padding pads first, so the maps read the padded axes
+        w_pad = 9 + pad_w if padding == "zero" else 9
+        assert rows.extent == (7 + pad_h if padding == "zero" else 7)
+        assert cols.extent == 7 * w_pad
+        assert rows.value.size == 2 * 7 and cols.value.size == 3 * 7 * 7
+        for m in (rows, cols):
+            with pytest.raises(ValueError):
+                m.value[0] = 1
+
+
+@pytest.mark.parametrize("padding", PADDING_MODES)
+def test_patch_embed_gradient_matches_fd(padding, rng):
+    # kernel 3 > stride 2, so windows overlap, and the odd extents pad both axes
+    k, s, c = 3, 2, 2
+    w = rng.standard_normal((k * k * c, 4)) / np.sqrt(k * k * c)
+    p = PatchEmbedParams(PatchEmbedSpec(kernel=k, stride=s), padding, T.LinearParams(w, rng.standard_normal(4)))
+    x0 = rng.standard_normal((2, 7, 5, c))
+    assert input_grad_error(patch_embed, x0, p) < GRAD_TOLERANCE
+    tape = T.Tape()
+    patch_embed(tape.leaf(x0), T.bind_tree(p, tape))
+    ops = [node.op for node in tape.nodes if node.op != "leaf"]
+    pads = ["pad_zero"] * 2 if padding == "zero" else []
+    assert ops == pads + ["take", "reshape", "take", "reshape", "linear"]
 
 
 def test_patch_embed_ceil_division(rng):
@@ -666,6 +703,17 @@ def test_non_finite_last_tensor_leaves_the_model_unchanged(tmp_path):
     with pytest.raises(InvalidInputError, match=re.escape(f"tensor '{name}': non-finite value nan")):
         load_model_weights(model, load_tensors(tmp_path / "m.hire"))
     assert model_checksum(model) == before
+
+
+def test_weight_load_reports_the_first_failing_tensor_in_model_order(tmp_path):
+    tensors = model_tensors(micro_model(seed=11))
+    first, last = list(tensors)[0], list(tensors)[-1]
+    tensors[first] = tensors[first].copy()
+    tensors[first].flat[0] = np.inf
+    tensors[last] = np.zeros(tensors[last].shape + (1,), dtype=np.float32)
+    save_tensors(tmp_path / "m.hire", tensors)
+    with pytest.raises(InvalidInputError, match=re.escape(f"tensor '{first}': non-finite value inf")):
+        load_model_weights(micro_model(), load_tensors(tmp_path / "m.hire"))
 
 
 # ---------------------------------------------------------------------------
