@@ -77,9 +77,10 @@ def _regular_file(path: str, what: str) -> Path:
 
 
 def _random_input(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Seeded standard-normal float32 input; a shape that cannot be allocated is a UsageError."""
+    """Seeded standard-normal float32 input, from a stream apart from the
+    weights' default_rng(seed); a shape that cannot be allocated is a UsageError."""
     try:
-        return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+        return np.random.default_rng([seed, 1]).standard_normal(shape).astype(np.float32)
     except (MemoryError, ValueError) as e:  # numpy raises ValueError past the largest size
         raise UsageError(f"cannot allocate a {'x'.join(map(str, shape))} input: {e}") from None
 

@@ -4,6 +4,8 @@ These deliberately avoid the library's vectorized code paths: explicit
 loops, explicit index maps, and mpmath for high-precision scalars.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 
 from hiremlp import tensor as T
@@ -175,12 +177,11 @@ def reference_forward(model, x: np.ndarray) -> np.ndarray:
 
 
 def reference_trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Whole-array truncated normal: one float64 draw of the full shape, then
-    masked redraws of every |value| > 2 std until none is left, then a cast."""
-    out = rng.standard_normal(shape) * std
-    bound = 2.0 * std
-    mask = np.abs(out) > bound
-    while mask.any():
-        out[mask] = rng.standard_normal(int(mask.sum())) * std
-        mask = np.abs(out) > bound
-    return out.astype(np.float32)
+    """Inverse-CDF truncated normal in float64: one float32 uniform u per
+    value, drawn for the whole array at once, mapped to p = Phi(-2) + u (1 -
+    2 Phi(-2)) and then to the stdlib's Normal(0, std) quantile (AS241
+    PPND16), element by element."""
+    u = rng.random(int(np.prod(shape)), dtype=np.float32)
+    lo = NormalDist().cdf(-2.0)
+    quantile = NormalDist(0.0, std).inv_cdf
+    return np.array([quantile(lo + float(v) * (1.0 - 2.0 * lo)) for v in u]).reshape(shape)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hiremlp.cli import main
+from hiremlp.cli import _random_input, main
 from hiremlp.errors import ConfigError
 from hiremlp.invariants import run_invariants
 from hiremlp.network import build_model, forward, load_config, model_tensors, save_config
@@ -128,6 +128,15 @@ def test_forward_deterministic(capsys, micro_cfg_path):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_random_input_is_drawn_apart_from_the_weights():
+    # build_model(cfg, seed) draws the weights from default_rng(seed); an input
+    # from that same stream would reuse the weights' random bits
+    shape = (1, 40, 40, 3)
+    x = _random_input(7, shape)
+    assert x.shape == shape and x.dtype == np.float32
+    assert not np.array_equal(x, np.random.default_rng(7).standard_normal(shape).astype(np.float32))
 
 
 def test_forward_flexible_resolution(capsys, micro_cfg_path):
