@@ -7,8 +7,8 @@ stacked inside four stages whose resolution drops from H/4 to H/32 while
 channels grow. Patch embeddings are overlapping-window unfolds followed
 by a linear projection, padded in the stage's padding mode so any input
 of at least 32x32 pixels flows through (remainders are absorbed by
-ceil-division). The classifier head is global average pooling plus one
-linear layer.
+ceil-division), except that reflect padding cannot pad a one-token axis.
+The classifier head is global average pooling plus one linear layer.
 """
 
 from __future__ import annotations
@@ -118,33 +118,10 @@ class ModelConfig:
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    d = {
-        "stages": [
-            {
-                "depth": st.depth,
-                "channels": st.channels,
-                "h": st.h,
-                "w": st.w,
-                "s": st.s,
-                "padding": st.padding,
-                **({"manner": st.manner} if st.manner != "shifted" else {}),
-            }
-            for st in cfg.stages
-        ],
-        "expansion_ratio": list(cfg.expansion_ratio),
-        "num_classes": cfg.num_classes,
-        "patch_embed": [{"kernel": pe.kernel, "stride": pe.stride} for pe in cfg.patch_embed],
-    }
-    if cfg.bottleneck_fcs != 2:
-        d["bottleneck_fcs"] = cfg.bottleneck_fcs
-    if cfg.shift_phase != 1:
-        d["shift_phase"] = cfg.shift_phase
-    if cfg.meta:
-        d["meta"] = cfg.meta
-    return d
+    """cfg's JSON form: every field, in declaration order."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(cfg).items()}
 
 
-_REQUIRED = object()
 _JSON_NAMES = {
     bool: "a boolean", int: "an integer", float: "a number", str: "a string",
     list: "an array", dict: "an object", type(None): "null",
@@ -165,11 +142,12 @@ def _typed(v, kind: type, where: str):
     return v
 
 
-def _field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """obj[key] checked by _typed; `where` is the JSON path of obj."""
+def _field(obj: dict, key: str, kind: type, where: str, default=dataclasses.MISSING):
+    """obj[key] checked by _typed; an absent key gives `default`, or a
+    ConfigError when that is MISSING. `where` is the JSON path of obj."""
     path = f"{where}.{key}" if where else key
     if key not in obj:
-        if default is _REQUIRED:
+        if default is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing")
         return default
     return _typed(obj[key], kind, path)
@@ -192,36 +170,33 @@ def _objects(d: dict, key: str) -> list[tuple[dict, str]]:
     return [(_typed(v, dict, f"{key}[{i}]"), f"{key}[{i}]") for i, v in enumerate(items)]
 
 
+_KINDS = {"int": int, "str": str}  # field annotation (a string here) -> JSON scalar kind
+
+
+def _scalars(cls: type, obj: dict, where: str) -> dict:
+    """The int and str fields of dataclass `cls` read from obj by _field,
+    each with its declared default; a key of obj that names no field of
+    `cls` is a ConfigError. `where` is the JSON path of obj."""
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where + '.' if where else ''}{key}: unknown key")
+    return {f.name: _field(obj, f.name, _KINDS[f.type], where, f.default) for f in fields if f.type in _KINDS}
+
+
 def config_from_dict(d: dict) -> ModelConfig:
     """Config from its JSON form; a type error names the JSON path, as in
-    `stages[2].channels: expected an integer, got a string`."""
+    `stages[2].channels: expected an integer, got a string`, and so does a
+    key that names no field."""
     d = _typed(d, dict, "top level")
-    stages = tuple(
-        StageConfig(
-            **{k: _field(s, k, int, where) for k in ("depth", "channels", "h", "w", "s")},
-            padding=_field(s, "padding", str, where, "circular"),
-            manner=_field(s, "manner", str, where, "shifted"),
-        )
-        for s, where in _objects(d, "stages")
+    stages, embeds = (
+        tuple(cls(**_scalars(cls, obj, where)) for obj, where in _objects(d, key))
+        for cls, key in ((StageConfig, "stages"), (PatchEmbedSpec, "patch_embed"))
     )
-    embeds = tuple(
-        PatchEmbedSpec(**{k: _field(p, k, int, where) for k in ("kernel", "stride")})
-        for p, where in _objects(d, "patch_embed")
-    )
-    ratio = d.get("expansion_ratio")
-    if isinstance(ratio, list):
-        ratio = tuple(_typed(r, int, f"expansion_ratio[{i}]") for i, r in enumerate(ratio))
-    else:
-        ratio = (_field(d, "expansion_ratio", int, ""),) * len(stages)
-    cfg = ModelConfig(
-        stages=stages,
-        patch_embed=embeds,
-        expansion_ratio=ratio,
-        num_classes=_field(d, "num_classes", int, "", 1000),
-        bottleneck_fcs=_field(d, "bottleneck_fcs", int, "", 2),
-        shift_phase=_field(d, "shift_phase", int, "", 1),
-        meta=_meta(d),
-    )
+    ratio = _field(d, "expansion_ratio", list, "")
+    ratio = tuple(_typed(r, int, f"expansion_ratio[{i}]") for i, r in enumerate(ratio))
+    cfg = ModelConfig(stages, embeds, ratio, **_scalars(ModelConfig, d, ""), meta=_meta(d))
     cfg.validate()
     return cfg
 

@@ -296,6 +296,26 @@ def test_config_type_error_exits_2_naming_file_and_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d: d.update(bottleneck_fc=1), "bottleneck_fc"),
+        (lambda d: d["stages"][0].update(paddng="zero"), "stages[0].paddng"),
+        (lambda d: d["patch_embed"][1].update(strides=2), "patch_embed[1].strides"),
+    ],
+    ids=["top-level", "stage", "patch-embed"],
+)
+def test_config_unknown_key_exits_2_naming_file_and_json_path(capsys, tmp_path, edit, where):
+    d = json.loads((CONFIGS / "micro.json").read_text())
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "summary", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {where}: unknown key\n"
+
+
+@pytest.mark.parametrize(
     "command, field, value",
     [
         # 576 TiB: past a 47-bit address space, so the allocator refuses it

@@ -30,8 +30,10 @@ from hiremlp.network import (
     INIT_STD,
     TRUNC_NORMAL_BLOCK,
     ChannelMlpParams,
+    ModelConfig,
     PatchEmbedParams,
     PatchEmbedSpec,
+    StageConfig,
     assemble_model,
     build_model,
     channel_mlp,
@@ -508,11 +510,40 @@ def test_build_small_depths():
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = small_config()
+    from hiremlp.variants import VARIANTS
+
+    micro = micro_config()
+    non_default = dataclasses.replace(
+        micro,
+        stages=tuple(dataclasses.replace(st, padding="reflect", manner="shuffle") for st in micro.stages),
+        num_classes=7,
+        bottleneck_fcs=3,
+        meta={},
+    )
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back == cfg
+    for cfg in [factory() for factory in VARIANTS.values()] + [non_default]:
+        save_config(cfg, path)
+        back = load_config(path)
+        assert back == cfg and back.meta == cfg.meta
+
+
+def test_config_absent_keys_take_the_dataclass_defaults():
+    d = config_to_dict(micro_config())
+    for st in d["stages"]:
+        del st["padding"], st["manner"]
+    for key in ("num_classes", "bottleneck_fcs", "shift_phase", "meta"):
+        del d[key]
+    cfg = config_from_dict(d)
+    want = ModelConfig(cfg.stages, cfg.patch_embed, cfg.expansion_ratio)
+    assert cfg == want and cfg.meta == {}
+    assert all(st == StageConfig(st.depth, st.channels, st.h, st.w, st.s) for st in cfg.stages)
+
+
+def test_config_meta_stays_free_form():
+    d = config_to_dict(micro_config())
+    d["meta"]["notes"] = {"any": ["json", 1]}
+    cfg = config_from_dict(d)
+    assert cfg == micro_config() and cfg.meta == {"name": "micro", "notes": {"any": ["json", 1]}}
 
 
 def test_config_rejects_garbage(tmp_path):
@@ -554,10 +585,15 @@ def test_config_validation_lists_violations():
         (lambda d: d.update(meta={"reference_flops": 0}), "meta.reference_flops",
          "expected a positive finite number, got 0"),
         (lambda d: d.update(meta={"name": ["x"]}), "meta.name", "expected a string, got an array"),
+        (lambda d: d.update(bottleneck_fc=1), "bottleneck_fc", "unknown key"),
+        (lambda d: d.update(stage=[]), "stage", "unknown key"),
+        (lambda d: d["stages"][0].update(paddng="zero"), "stages[0].paddng", "unknown key"),
+        (lambda d: d["patch_embed"][3].update(kernal=3), "patch_embed[3].kernal", "unknown key"),
     ],
     ids=[
         "stages-int", "channels-str", "channels-list", "depth-missing", "embed-int", "ratio-bool",
         "meta-str", "reference-params-str", "reference-flops-0", "name-list",
+        "unknown-top-level", "unknown-top-level-array", "unknown-in-stage", "unknown-in-patch-embed",
     ],
 )
 def test_config_type_error_names_file_and_json_path(tmp_path, edit, where, message):
@@ -575,7 +611,7 @@ def test_config_type_error_names_file_and_json_path(tmp_path, edit, where, messa
     [
         (lambda d: [s.update(channels=0) for s in d["stages"]], "stage 0: channels must be >= 1, got 0"),
         (lambda d: d["stages"][1].update(channels=-3), "stage 1: channels must be >= 1, got -3"),
-        (lambda d: d.update(expansion_ratio=-1), "stage 0: expansion_ratio must be >= 1, got -1"),
+        (lambda d: d.update(expansion_ratio=-1), "expansion_ratio: expected an array, got an integer"),
         (lambda d: d.update(expansion_ratio=[2, 0, 2, 2]), "stage 1: expansion_ratio must be >= 1, got 0"),
     ],
     ids=["all-channels-0", "channels-negative", "ratio-scalar-negative", "ratio-entry-0"],
@@ -590,10 +626,12 @@ def test_config_rejects_sizes_below_one(edit, message):
 
 
 def test_config_scalar_expansion_ratio():
+    # the ratio is a per-stage array; a scalar is not broadcast
     d = config_to_dict(micro_config())
     d["expansion_ratio"] = 4
-    cfg = config_from_dict(d)
-    assert cfg.expansion_ratio == (4, 4, 4, 4)
+    with pytest.raises(ConfigError) as e:
+        config_from_dict(d)
+    assert str(e.value) == "expansion_ratio: expected an array, got an integer"
 
 
 def test_checked_in_configs_match_variants(tmp_path):
@@ -605,7 +643,10 @@ def test_checked_in_configs_match_variants(tmp_path):
     cfg_dir = Path(__file__).resolve().parent.parent / "configs"
     for name, factory in VARIANTS.items():
         on_disk = load_config(cfg_dir / f"{name}.json")
-        assert on_disk == factory(), name
+        assert on_disk == factory() and on_disk.meta == factory().meta, name
+        # byte-equal too, so a hand edit that still loads the same is caught
+        save_config(factory(), tmp_path / f"{name}.json")
+        assert (cfg_dir / f"{name}.json").read_bytes() == (tmp_path / f"{name}.json").read_bytes(), name
 
 
 def test_shift_parity_default_odd_blocks():
