@@ -38,6 +38,7 @@ from .network import (
     build_model,
     first_non_finite_path,
     forward,
+    lane_count,
     load_config,
     load_model_weights,
 )
@@ -359,12 +360,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .lanes import blas_threads  # the lane machinery loads only where it is used
+
     cfg = load_config(_regular_file(args.config, "config"))
     t0 = time.perf_counter()
     model = build_model(cfg, seed=args.seed)
     build_s = time.perf_counter() - t0
     h, w = _parse_hwc(args.hw, 2)
     x = _random_input(args.seed, (args.batch, h, w, 3))
+    lanes = lane_count(model, x)
 
     times = []
     for _ in range(BENCH_WARMUP + args.iters):
@@ -384,6 +388,8 @@ def cmd_bench(args) -> int:
         "images_per_s": args.batch / med,
         "ms_per_image": 1000.0 * med / args.batch,
         "checksum": checksum,
+        "lanes": lanes,
+        "blas_threads": blas_threads(),
         "peak_rss_mb": peak_rss_mb,
         "build_s": build_s,
     }
@@ -393,7 +399,8 @@ def cmd_bench(args) -> int:
         print(
             f"{payload['config']} @ {h}x{w}, batch {args.batch}: "
             f"{payload['images_per_s']:.2f} images/s "
-            f"({payload['ms_per_image']:.1f} ms/image, median of {args.iters})  "
+            f"({payload['ms_per_image']:.1f} ms/image, median of {args.iters}, "
+            f"{lanes} lane{'s' if lanes > 1 else ''})  "
             f"checksum {checksum:+.5f}  peak RSS {peak_rss_mb:.1f} MB"
         )
     return 0

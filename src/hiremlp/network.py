@@ -13,6 +13,7 @@ The classifier head is global average pooling plus one linear layer.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -347,11 +348,22 @@ def patch_embed(x: T.ArrayLike, p: PatchEmbedParams) -> T.ArrayLike:
     return T.apply_linear(x, p.proj)
 
 
-def stage_forward(x: T.ArrayLike, stage: StageParams) -> T.ArrayLike:
+def _stage_body(x: T.ArrayLike, stage: StageParams) -> T.ArrayLike:
     x = patch_embed(x, stage.embed)
     for block in stage.blocks:
         x = hire_block(x, block)
     return x
+
+
+def stage_forward(x: T.ArrayLike, stage: StageParams, lanes: int = 1) -> T.ArrayLike:
+    """Patch embedding, then the stage's blocks. With lanes > 1 (an eager
+    batch, from `forward_features` under the lane pin), they run on that many
+    contiguous image lanes, each on its own thread, joined into one map here."""
+    if lanes > 1:
+        from .lanes import run
+
+        return run(lanes, x, functools.partial(_stage_body, stage=stage))
+    return _stage_body(x, stage)
 
 
 def forward_features(model: Model, image: T.ArrayLike) -> list[T.ArrayLike]:
@@ -376,17 +388,53 @@ def forward_features(model: Model, image: T.ArrayLike) -> list[T.ArrayLike]:
         )
     feats = []
     x = image
-    for stage in model.stages:
-        x = stage_forward(x, stage)
-        feats.append(x)
+    with _lane_pin(model, image) as lanes:
+        for stage in model.stages:
+            x = stage_forward(x, stage, lanes)
+            feats.append(x)
     return feats
 
 
 def forward(model: Model, image: T.ArrayLike) -> T.ArrayLike:
-    """Image [N, H, W, 3] -> logits [N, num_classes]."""
-    feats = forward_features(model, image)
-    pooled = T.mean_axes(feats[-1], (1, 2))
-    return T.apply_linear(pooled, model.head)
+    """Image [N, H, W, 3] -> logits [N, num_classes].
+
+    A call that runs lanes (see `_lane_pin`) keeps OpenBLAS on one thread
+    through the head's product as well."""
+    with _lane_pin(model, image):
+        feats = forward_features(model, image)
+        pooled = T.mean_axes(feats[-1], (1, 2))
+        return T.apply_linear(pooled, model.head)
+
+
+def _running_norms(model: Model) -> bool:
+    """Whether every norm of the model applies stored statistics, so that no
+    image of a batch reads another before the head."""
+    return all(
+        norm is None or norm.mode == "running"
+        for stage in model.stages
+        for b in stage.blocks
+        for norm in (b.norm1, b.norm2, b.hire.height.mlp.norm, b.hire.width.mlp.norm)
+    )
+
+
+def _lane_pin(model: Model, image: T.ArrayLike):
+    """Context giving the image lanes of a forward (see `lanes.pinned`).
+
+    Only an eager ndarray batch of at least two images through a model whose
+    norms all apply stored statistics can run lanes; anything else gets 1
+    lane without loading the lane machinery."""
+    if type(image) is not np.ndarray or image.ndim != 4 or image.shape[0] < 2 or not _running_norms(model):
+        return contextlib.nullcontext(1)
+    from . import lanes
+
+    return lanes.pinned(image.shape[0])
+
+
+def lane_count(model: Model, image: T.ArrayLike) -> int:
+    """The number of image lanes `forward(model, image)` runs on, when no
+    other thread holds the lanes."""
+    with _lane_pin(model, image) as lanes:
+        return lanes
 
 
 def first_non_finite_path(model: Model, image: T.ArrayLike) -> str:

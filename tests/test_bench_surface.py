@@ -84,3 +84,25 @@ def test_traced_forward_counts_every_flop_inside_a_layer():
     metrics = tracer.metrics(call_s, expected)
     assert metrics["trace.flops_mismatch"][0] == 0
     assert metrics["trace.coverage_share"][0] >= tracing.COVERAGE_MIN
+
+
+def test_traced_lane_forward_keeps_stage_spans_and_flops_on_the_caller(fake_blas):
+    # lanes run each stage's embedding and blocks on worker threads and join
+    # inside stage_forward, so the tracer's one span stack and stage counter
+    # still see four stage spans, each holding its own lanes' products
+    tracing = _tracing()
+    model = network.build_model(micro_config(), seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 200, 300, 3)).astype(np.float32)
+    expected = tracing.expected_stage_flops(count_model(model, 200, 300), forwards=2)
+    network.forward(model, x)  # warm-up, untraced
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        t0 = perf_counter()
+        network.forward(model, x)
+        call_s = perf_counter() - t0
+    metrics = tracer.metrics(call_s, expected)
+    assert fake_blas.sets == [1, 2, 1, 2] and fake_blas.threads == 2  # the traced call ran lanes
+    assert tracer.stats["network.stage_forward"][0] == 4
+    assert tracer.stats["network.patch_embed"][0] == 8  # one per lane and stage
+    assert metrics["trace.flops_mismatch"][0] == 0
+    assert metrics["trace.coverage_share"][0] >= tracing.COVERAGE_MIN

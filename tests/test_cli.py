@@ -517,6 +517,31 @@ def test_bench_reports_peak_rss(capsys, micro_cfg_path):
     assert re.search(r"peak RSS \d+\.\d MB$", out.strip())
 
 
+def test_bench_reports_lanes_and_blas_threads(capsys, micro_cfg_path, fake_blas):
+    code, out, _ = run(
+        capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--batch", "3", "--iters", "1", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lanes"], payload["blas_threads"]) == (2, 2)
+    assert fake_blas.threads == 2
+    code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1")
+    assert code == 0
+    assert "median of 1, 1 lane)" in out
+
+
+def test_bench_without_thread_control_reports_null_threads(capsys, micro_cfg_path, monkeypatch):
+    from hiremlp import lanes
+
+    monkeypatch.setattr(lanes, "blas_control", lambda: None)
+    code, out, _ = run(
+        capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--batch", "2", "--iters", "1", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lanes"], payload["blas_threads"]) == (1, None)
+
+
 def test_bench_zero_iters_exits_2(capsys, micro_cfg_path):
     with pytest.raises(SystemExit) as e:
         main(["bench", "--config", micro_cfg_path, "--iters", "0"])
