@@ -359,6 +359,20 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _status_mb(field: str) -> float | None:
+    """A kB field of /proc/self/status in MiB, VmRSS (resident now) or VmHWM
+    (its peak since this program started); None where it cannot be read.
+    Unlike ru_maxrss, VmHWM counts no memory of the process that launched it."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith(f"{field}:"):
+                    return int(line.split()[1]) / 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def cmd_bench(args) -> int:
     from .lanes import blas_threads  # the lane machinery loads only where it is used
 
@@ -366,6 +380,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     model = build_model(cfg, seed=args.seed)
     build_s = time.perf_counter() - t0
+    built_rss_mb = _status_mb("VmRSS")
     h, w = _parse_hwc(args.hw, 2)
     x = _random_input(args.seed, (args.batch, h, w, 3))
     lanes = lane_count(model, x)
@@ -376,6 +391,7 @@ def cmd_bench(args) -> int:
         logits = np.asarray(forward(model, x))
         times.append(time.perf_counter() - t0)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    hwm_mb = _status_mb("VmHWM")
     med = statistics.median(times[BENCH_WARMUP:])
     checksum = float(logits.sum())
     payload = {
@@ -391,6 +407,7 @@ def cmd_bench(args) -> int:
         "lanes": lanes,
         "blas_threads": blas_threads(),
         "peak_rss_mb": peak_rss_mb,
+        "forward_rss_mb": None if None in (built_rss_mb, hwm_mb) else hwm_mb - built_rss_mb,
         "build_s": build_s,
     }
     if args.json:

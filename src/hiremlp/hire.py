@@ -163,11 +163,66 @@ class HireModuleParams:
             )
 
 
+def eager_map(x: T.ArrayLike) -> bool:
+    """Whether x is a non-empty eager NHWC ndarray, whose sums the module
+    and the block write in place, in row tiles (a tape has no slice op)."""
+    return type(x) is np.ndarray and x.ndim == 4 and x.size > 0
+
+
+def per_token(norm: T.NormParams | None) -> bool:
+    """Whether `norm` (None: no norm) acts on each token alone, so that a map
+    it reads can be cut into tiles."""
+    return norm is None or norm.mode == "running"
+
+
+def row_tiles(
+    m: int, layers: list[T.LinearParams], norm: T.NormParams | None = None, count: int | None = None, rows: int = 1
+) -> list[slice]:
+    """Tiles of m units, each unit `rows` rows of the products by `layers`
+    read through `norm`: `T.row_blocks(m, count)` where the norm acts per
+    token and every tile's products keep the kernel of the whole ones
+    (`T.keeps_kernel`), so that the tiles are bitwise the whole map; else
+    one tile."""
+    tiles = T.row_blocks(m, count)
+    fewest = m // len(tiles) * rows
+    if len(tiles) == 1 or per_token(norm) and all(T.keeps_kernel(fewest, layer.weight) for layer in layers):
+        return tiles
+    return [slice(0, m)]
+
+
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
-    """Sum of the branch outputs: (width + height) + channel, each sum a
-    fresh array."""
-    spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
-    return T.add(spatial, T.apply_linear(x, p.channel))
+    """Sum of the branch outputs: (width + height) + channel.
+
+    A taped input gets each sum as a fresh array. An `eager_map` of m tokens
+    gets one output map, whose sums go in place. At most 1,024 tokens, one
+    `linear` row block, it is the width branch's fresh result. A larger map
+    takes the height branch's fresh result, and the width branch is added
+    into it in k = ceil(m / 1024) row tiles along (N, H), whose rows it
+    mixes in no way, and the channel FC in the `row_tiles` of the m tokens.
+    So no whole-map width or channel result exists. Each element is still
+    (width + height) + channel, and one IEEE addition commutes, so the sums
+    are bitwise the fresh ones."""
+    if not eager_map(x):
+        spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
+        return T.add(spatial, T.apply_linear(x, p.channel))
+    n, h, w, c = x.shape
+    k = len(T.row_blocks(n * h * w))
+    if k == 1:
+        out = hire_branch(x, p.width)
+        out += hire_branch(x, p.height)
+        out += T.apply_linear(x, p.channel)
+        return out
+    region = p.width.region
+    _branch_gathers(w, region, p.width.shift)  # the width branch rejects an input first, as above
+    out = hire_branch(x, p.height)
+    rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c, copy=False)
+    regions = padded_extent(w, region.region_size) // region.region_size  # product rows per row of the map
+    for t in row_tiles(n * h, p.width.mlp.layers, p.width.mlp.norm, k, regions):
+        out_rows[:, t] += hire_branch(rows[:, t], p.width)
+    tokens, out_tokens = x.reshape(-1, c), out.reshape(-1, c, copy=False)
+    for t in row_tiles(n * h * w, [p.channel]):
+        out_tokens[t] += T.apply_linear(tokens[t], p.channel)
+    return out
 
 
 def bottleneck_widths(region_size: int, channels: int, n_layers: int) -> list[int]:

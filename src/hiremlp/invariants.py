@@ -31,6 +31,8 @@ from .hire import (
     hire_module,
 )
 from .network import (
+    BlockParams,
+    Model,
     ModelConfig,
     PatchEmbedSpec,
     StageConfig,
@@ -41,6 +43,7 @@ from .network import (
     forward,
     forward_features,
     hire_block,
+    patch_embed,
     set_norm_mode,
 )
 from .rearrange import (
@@ -57,7 +60,7 @@ from .rearrange import (
     padded_extent,
     partition_pad,
 )
-from .variants import BUDGET_TOLERANCE, micro_config
+from .variants import BUDGET_TOLERANCE, micro_config, tiny_config
 
 
 @dataclass
@@ -547,6 +550,14 @@ def _outcome(fn, *args):
         return str(e)
 
 
+def _same(got, want) -> bool:
+    """Whether two `_outcome`s are the same message, or arrays of the same
+    dtype, shape and bytes."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
     """hire_branch bitwise-equals sequential_branch: every padding mode and
     manner, divisible and non-divisible extents, shift on and off, float32
@@ -569,9 +580,7 @@ def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
             shift = ShiftSpec(int(rng.integers(0, 2 * extent)) if manner == "shifted" else 0, manner)
         cfg = _rand_branch(rng, axis, c, m, shift, dtype, mode)
         got, want = _outcome(hire_branch, x, cfg), _outcome(sequential_branch, x, cfg)
-        if type(got) is not type(want) or not np.array_equal(got, want) or (
-            isinstance(got, np.ndarray) and got.dtype != want.dtype
-        ):
+        if not _same(got, want):
             return False, (
                 f"{mode}/{manner} extent {extent} m={m} shift={shift} "
                 f"{np.dtype(dtype).name}: composed {got!r:.60} != sequential {want!r:.60}"
@@ -583,6 +592,57 @@ def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # network scope
 # ---------------------------------------------------------------------------
+
+
+def sequential_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
+    """hire_block as the plain composition, every norm and sum a fresh
+    array, summed (width + height) + channel, + X, then ChannelMLP + Y: the
+    reference for its row tiles."""
+    h = T.apply_norm(x, p.norm1)
+    spatial = T.add(hire_branch(h, p.hire.width), hire_branch(h, p.hire.height))
+    y = T.add(T.add(spatial, T.apply_linear(h, p.hire.channel)), x)
+    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
+
+
+def tiled_block_failure(model: Model, image: np.ndarray) -> str | None:
+    """None when, through a forward of `image`, every block's hire_block
+    output bitwise-equals its sequential_block output, or both reject the
+    block's input with the same message (which ends the forward); else the
+    first block that differs, and how. Each block reads the output of the
+    blocks before it."""
+    x = image
+    for i, stage in enumerate(model.stages):
+        x = patch_embed(x, stage.embed)
+        for b, block in enumerate(stage.blocks):
+            got, want = _outcome(hire_block, x, block), _outcome(sequential_block, x, block)
+            if not _same(got, want):
+                return f"stage{i + 1}.block{b}: tiled {got!r:.60} != plain {want!r:.60}"
+            if isinstance(got, str):
+                return None
+            x = got
+    return None
+
+
+def check_tiled_blocks(seeds: int, rng) -> tuple[bool, str]:
+    """Row-tiled blocks bitwise-equal sequential_block: tiny at 224x224,
+    batch 1, and at 200x300, batch 2; micro at 200x300 in every padding mode
+    and manner, where the shuffle manner's stage-1 width extent (75) rejects
+    the input, and must do so with the plain composition's message; and
+    micro at 800x1216, whose products are too thin to tile (see
+    `hire.row_tiles`), yet too long for OpenBLAS's small-matrix kernel."""
+    tiny = build_model(tiny_config(), seed=0)
+    cases = [(f"tiny {n}x{h}x{w}", tiny, (n, h, w)) for n, h, w in ((1, 224, 224), (2, 200, 300))]
+    micro = micro_config()
+    for mode, manner in itertools.product(PADDING_MODES, MANNERS):
+        stages = tuple(dataclasses.replace(st, padding=mode, manner=manner) for st in micro.stages)
+        model = build_model(dataclasses.replace(micro, stages=stages), seed=1)
+        cases.append((f"micro {mode}/{manner} 1x200x300", model, (1, 200, 300)))
+    cases.append(("micro 1x800x1216", build_model(micro, seed=1), (1, 800, 1216)))
+    for name, model, shape in cases:
+        failure = tiled_block_failure(model, rng.standard_normal(shape + (3,)).astype(np.float32))
+        if failure is not None:
+            return False, f"{name}: {failure}"
+    return True, f"{len(cases)} cases, bitwise"
 
 
 def check_resolution_flexibility(seeds: int, rng) -> tuple[bool, str]:
@@ -787,6 +847,7 @@ SUITES: dict[str, list[tuple[str, Callable]]] = {
         ("residual identity with zeroed blocks", check_residual_identity),
         ("seeded build determinism", check_build_determinism),
         ("32-px roll rolls stage 4 by 1 token (all circular)", check_translation_equivariance),
+        ("row-tiled block bitwise-equals the plain composition", check_tiled_blocks),
     ],
     "accounting": [
         ("traversal equals closed form on hire modules", check_closed_form_reconciliation),

@@ -32,9 +32,13 @@ from .hire import (
     HireBranchConfig,
     HireModuleParams,
     bottleneck_widths,
+    eager_map,
     hire_module,
+    per_token,
+    row_tiles,
 )
 from .rearrange import MANNERS, PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
+from .weights import TensorFile
 
 MIN_INPUT = 32
 
@@ -286,10 +290,21 @@ def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
 def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y.
 
-    Every norm and sum returns a fresh array and writes into none of its
-    operands."""
-    y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
-    return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
+    A taped input gets every norm and sum as a fresh array. A
+    `hire.eager_map` gets one output map that the block owns, the module's
+    (see `hire_module`): X is added into it, and then each of the module's
+    token tiles becomes Z = ChannelMLP(BN(Y)) + Y in place, so one tile's
+    hidden map is alive at a time. The sums are bitwise the fresh ones. A
+    second norm that takes batch statistics makes that sub-unit one tile."""
+    if not eager_map(x):
+        y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
+        return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
+    y = hire_module(T.apply_norm(x, p.norm1), p.hire)
+    y += x
+    tokens = y.reshape(-1, y.shape[-1], copy=False)
+    for t in row_tiles(len(tokens), [p.channel_mlp.fc1, p.channel_mlp.fc2], p.norm2):
+        tokens[t] += channel_mlp(T.apply_norm(tokens[t], p.norm2), p.channel_mlp)
+    return y
 
 
 @functools.lru_cache(maxsize=256)
@@ -410,7 +425,7 @@ def _running_norms(model: Model) -> bool:
     """Whether every norm of the model applies stored statistics, so that no
     image of a batch reads another before the head."""
     return all(
-        norm is None or norm.mode == "running"
+        per_token(norm)
         for stage in model.stages
         for b in stage.blocks
         for norm in (b.norm1, b.norm2, b.hire.height.mlp.norm, b.hire.width.mlp.norm)
@@ -614,7 +629,11 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
     running variance or a value the mapping rejects on lookup (a
     `TensorFile`'s non-finite check) leaves the model as it was. Of several
     faults, the one reported is that of the first failing tensor in model
-    order. A TensorFile reads each tensor twice, holding one at a time.
+    order. A TensorFile is read twice with `read_into`: for the checks into
+    one buffer, sized to the model's largest array and reused, and then
+    straight into each float32 array of the model. A file that changes
+    between the two reads is not covered: the second read can then fail or
+    put unchecked values into part of the model.
     """
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))
@@ -624,8 +643,10 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
             f"weight mismatch: missing {missing[:3]}{'...' if len(missing) > 3 else ''}, "
             f"unexpected {extra[:3]}{'...' if len(extra) > 3 else ''}"
         )
+    file = tensors if isinstance(tensors, TensorFile) else None
+    buf = None if file is None else np.empty(max((a.size for a in own.values()), default=0), dtype="<f4")
     for name, arr in own.items():
-        value = np.asarray(tensors[name])
+        value = np.asarray(tensors[name]) if file is None else file.read_into(name, buf)
         if value.shape != arr.shape:
             raise ShapeError(f"weight '{name}': file {value.shape} vs model {arr.shape}")
         if name.endswith(".running_var") and (value < 0).any():
@@ -634,8 +655,11 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
                 f"weight '{name}': running variance {value.flat[i]} at flat index {i} is negative"
             )
         del value  # the next lookup reads before it would rebind `value`
+    del buf
     for name, arr in own.items():
-        arr[...] = tensors[name]
+        value = tensors[name] if file is None else file.read_into(name, arr)
+        if not np.may_share_memory(value, arr):  # not read in place: a dict's array, or arr is not float32
+            arr[...] = value
 
 
 def model_checksum(model: Model) -> str:

@@ -7,8 +7,9 @@ memory with an input, though: `reshape` returns a view whenever numpy can
 give one, so a caller that wants to write into a result must own it. The
 one exception is `gelu(x, overwrite=True)` on a float32 ndarray, which
 writes its result into x; the model passes it only a fresh FC output that
-it reads no more. It is the one in-place write measured to lower the eager
-forward's peak memory.
+it reads no more. Outside the ops, the eager blocks sum into a map they own
+in row tiles (`hire.hire_module`, `network.hire_block`); those are the
+other in-place writes, each one lowering the forward's peak memory.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
 `Tape`; every op returns through `_result`, which records the op when
 any input is a `Var` so `backward` can replay adjoints. One tape serves
@@ -238,17 +239,40 @@ def _adj_add(node: _Node, g: Array):
 # product's row count: one 7500x64 @ 64x256 float32 product raised peak RSS
 # by 2.0 MB whole and by 0.5 MB in 1K-row blocks, so at large inputs the
 # whole-map products, not the model's own maps, set peak RSS. A longer
-# product is split into equal blocks, each over half this many rows, and
-# only when the weight holds at least twice this many entries. Each block
-# then does over 1K x 1K multiply-adds, so OpenBLAS gives it the kernel it
-# gives the whole product, not gemv (one row) or its small-matrix kernel
-# (under 1e6 multiply-adds), which sum in another order: every product the
-# model makes stays bitwise the whole one. A one-column weight runs gemv
+# product is split into the equal blocks of `row_blocks`, each at least half
+# this many rows, and only when the weight holds at least twice this many
+# entries. Each block then does over 1e6 multiply-adds and so keeps the
+# kernel of the whole product (`keeps_kernel`): every product the model
+# makes stays bitwise the whole one. A one-column weight runs gemv
 # either way and may round differently. On a 2-CPU Xeon, peak RSS after 30
 # tiny forwards at 200x300, batch 2, was 133.4 MB with whole products and
 # 126.2, 126.7, 127.3, 128.1 and 131.5 MB with 256, 512, 1K, 2K and 4K
 # rows; 256 rows took 5-10% longer, 512 and more were within noise.
 _LINEAR_ROWS = 1 << 10
+# OpenBLAS (0.3.31) gives a product of at most this many multiply-adds its
+# small-matrix kernel, and one of one row gemv; both sum in another order
+# than the kernel of a longer product
+_SMALL_PRODUCT = 10**6
+
+
+def row_blocks(m: int, count: int | None = None) -> list[slice]:
+    """Slices cutting range(m), in order, into min(count, m) blocks whose
+    lengths differ by at most one, the longer first. By default count is
+    the fewest blocks of at most `_LINEAR_ROWS` rows: `linear`'s blocks."""
+    if count is None:
+        count = -(-m // _LINEAR_ROWS)
+    count = max(1, min(count, m))
+    size, extra = divmod(m, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def keeps_kernel(rows: int, weight: ArrayLike) -> bool:
+    """Whether a product of `rows` rows by `weight` runs the kernel that any
+    longer product by it runs: it has more than one row and does over
+    `_SMALL_PRODUCT` multiply-adds. Cut into such row blocks, a product
+    is bitwise the whole one."""
+    return rows > 1 and rows * _value(weight).size > _SMALL_PRODUCT
 
 
 def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> ArrayLike:
@@ -274,11 +298,9 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: ArrayLike | None = None) -> Ar
     if m <= _LINEAR_ROWS or wv.size < 2 * _LINEAR_ROWS:
         out2 = x2 @ wv
     else:
-        blocks = -(-m // _LINEAR_ROWS)  # the fewest of at most _LINEAR_ROWS rows, equal in size
-        step = -(-m // blocks)
         out2 = np.empty((m, wv.shape[1]), dtype=np.result_type(x2, wv))
-        for s in range(0, m, step):
-            np.matmul(x2[s : s + step], wv, out=out2[s : s + step])
+        for s in row_blocks(m):
+            np.matmul(x2[s], wv, out=out2[s])
     if bv is not None:
         out2 += bv  # the matmul result is fresh, so the bias goes in place
     out = out2.reshape(xv.shape[:-1] + (wv.shape[1],))
@@ -782,8 +804,13 @@ def bind_tree(obj, tape: Tape):
 # ---------------------------------------------------------------------------
 
 
-# central-difference step: float64 round-off and truncation error balance near it
-FD_EPS = 1e-5
+# central-difference step. Its error is truncation, O(step^2), plus float64
+# round-off, O(1e-16 / step). Over model_gradcheck seeds 0-39 the worst error
+# was 1.4e-5, 1.4e-7, 1.4e-9 and 1.3e-10 at steps 1e-4, 1e-5, 1e-6 and 1e-7
+# (truncation), while over block_gradcheck seeds 0-9 it was 2.8e-9 at 1e-5,
+# then 2.6e-8 and 2.7e-7 at 1e-6 and 1e-7 (round-off). 1e-6 keeps both far
+# below GRAD_TOLERANCE (1e-4).
+FD_EPS = 1e-6
 
 
 def finite_difference_grad(

@@ -62,9 +62,10 @@ class TensorFile(Mapping):
     """Read-only name -> float32 array mapping over an open container.
 
     Each lookup reads that one tensor into a fresh, aligned, read-only
-    array, so holding the mapping costs no payload memory, and rejects a
-    non-finite value with InvalidInputError naming the path, the tensor and
-    the first flat index. `len`, `in` and iteration read nothing.
+    array, so holding the mapping costs no payload memory; `read_into`
+    reads one into the caller's array instead. Both reject a non-finite
+    value with InvalidInputError naming the path, the tensor and the first
+    flat index. `len`, `in` and iteration read nothing.
     The file is closed when the mapping is dropped.
     """
 
@@ -73,15 +74,30 @@ class TensorFile(Mapping):
         weakref.finalize(self, fh.close)
 
     def __getitem__(self, name: str) -> np.ndarray:
+        out = self.read_into(name)
+        out.flags.writeable = False
+        return out
+
+    def read_into(self, name: str, buf: np.ndarray | None = None) -> np.ndarray:
+        """Read tensor `name` by positional reads and check it for
+        non-finite values. It goes into the leading elements of buf when buf
+        is a writable C-contiguous little-endian float32 array with room for
+        it, else into a fresh aligned array. Returns the tensor in its shape,
+        as a view of buf or the fresh array."""
         off, dims = self._entries[name]
-        out = np.empty(dims, dtype="<f4")
-        if out.size:  # a memoryview cannot cast an empty shape
-            buf = memoryview(out).cast("B")
+        n = math.prod(dims)
+        fits = (
+            buf is not None and buf.dtype == np.dtype("<f4") and buf.flags.c_contiguous
+            and buf.flags.writeable and buf.size >= n
+        )
+        out = buf.reshape(-1)[:n].reshape(dims) if fits else np.empty(dims, dtype="<f4")
+        if n:  # a memoryview cannot cast an empty shape
+            view = memoryview(out).cast("B")
             done = 0
-            while done < len(buf):
-                got = os.preadv(self._fh.fileno(), [buf[done:]], off + done)
+            while done < len(view):
+                got = os.preadv(self._fh.fileno(), [view[done:]], off + done)
                 if not got:
-                    raise _short(self._path, off, f"data of {name!r} {dims}", len(buf), done)
+                    raise _short(self._path, off, f"data of {name!r} {dims}", len(view), done)
                 done += got
         finite = np.isfinite(out)
         if not finite.all():
@@ -89,7 +105,6 @@ class TensorFile(Mapping):
             raise InvalidInputError(
                 f"{self._path}: tensor {name!r}: non-finite value {out.flat[i]} at flat index {i}"
             )
-        out.flags.writeable = False
         return out
 
     def __contains__(self, name) -> bool:

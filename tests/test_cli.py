@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hiremlp import cli
 from hiremlp.cli import _random_input, main
 from hiremlp.errors import ConfigError
 from hiremlp.invariants import run_invariants
@@ -515,6 +516,29 @@ def test_bench_reports_peak_rss(capsys, micro_cfg_path):
     code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1")
     assert code == 0
     assert re.search(r"peak RSS \d+\.\d MB$", out.strip())
+
+
+def test_bench_reports_forward_rss_apart_from_the_model():
+    # each run in its own process, so the peak is that run's: the forwards
+    # at 320x320 hold more activations than those at 64x64, with the same weights
+    rss = {}
+    for hw in ("64x64", "320x320"):
+        out = subprocess.run(
+            [sys.executable, "-m", "hiremlp", "bench", "--config", str(CONFIGS / "tiny.json"),
+             "--hw", hw, "--iters", "1", "--json"],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ).stdout
+        payload = json.loads(out)
+        rss[hw] = payload["forward_rss_mb"]
+        assert isinstance(rss[hw], float) and 0 <= rss[hw] < payload["peak_rss_mb"]
+    assert rss["320x320"] > rss["64x64"] + 4
+
+
+def test_bench_reports_null_forward_rss_where_proc_status_cannot_be_read(capsys, micro_cfg_path, monkeypatch):
+    monkeypatch.setattr(cli, "_status_mb", lambda field: None)
+    code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["forward_rss_mb"] is None
 
 
 def test_bench_reports_lanes_and_blas_threads(capsys, micro_cfg_path, fake_blas):

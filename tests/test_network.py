@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiremlp import network
+from hiremlp import hire, network
+from hiremlp.hire import row_tiles
 from hiremlp import tensor as T
 from hiremlp.accounting import count_config, count_model
 from hiremlp.errors import ConfigError, InvalidInputError, ShapeError
 from hiremlp.invariants import (
     GRAD_TOLERANCE,
     block_gradcheck,
+    check_tiled_blocks,
     check_translation_equivariance,
     input_grad_error,
     rel_error,
+    sequential_block,
 )
 from hiremlp.network import (
     INIT_STD,
@@ -174,6 +178,90 @@ def test_block_gradient_matches_fd():
     assert set(errors) == {"block", "hire", "channel_mlp"}
     for unit, err in errors.items():
         assert err < GRAD_TOLERANCE, unit
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_block_gradcheck_catches_a_tenth_of_a_percent_adjoint_error(monkeypatch, eps):
+    # block_gradcheck's docstring claim, at steps 1e-5 and 1e-6 (FD_EPS)
+    adjoint = T._ADJOINTS["gelu"]
+    monkeypatch.setitem(T._ADJOINTS, "gelu", lambda node, g: [(0, 1.001 * d) for _, d in adjoint(node, g)])
+    monkeypatch.setattr(T, "FD_EPS", eps)
+    errors = block_gradcheck(seed=1234)
+    assert errors["hire"] >= GRAD_TOLERANCE and errors["channel_mlp"] >= GRAD_TOLERANCE
+
+
+def test_row_tiled_blocks_bitwise_equal_the_plain_composition(rng):
+    passed, detail = check_tiled_blocks(1, rng)
+    assert passed, detail
+
+
+def test_tiled_block_rejects_first_along_the_width_like_the_plain_composition(rng):
+    # at 204x300 both stage-1 extents (51, 75) reject the shuffle manner's
+    # 2-token regions; the plain sum runs the width branch first
+    model = build_model(_every_stage(micro_config(), manner="shuffle"), seed=1)
+    x = patch_embed(rng.standard_normal((1, 204, 300, 3)).astype(np.float32), model.stages[0].embed)
+    messages = []
+    for fn in (hire_block, sequential_block):
+        with pytest.raises(InvalidInputError) as e:
+            fn(x, model.stages[0].blocks[0])
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and "extent 75 " in messages[0]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name if name != "hire_branch" else args[1].axis)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("mode", ["running", "batch"])
+def test_a_block_runs_in_the_tiles_of_linear_unless_a_norm_takes_batch_statistics(monkeypatch, rng, mode):
+    # 2x50x75 tokens: 7,500, so ceil(7500 / 1024) = 8 tiles; the width
+    # branch's 100 rows along (N, H) go in 8 tiles of 12 or 13 rows
+    assert len(T.row_blocks(7500)) == 8 and len(T.row_blocks(100, 8)) == 8
+    block = set_norm_mode(build_model(tiny_config(), seed=0), mode).stages[0].blocks[1]
+    x = rng.standard_normal((2, 50, 75, 64)).astype(np.float32)
+    want = sequential_block(x, block)
+    calls = []
+    _count_calls(monkeypatch, network, "channel_mlp", calls)
+    _count_calls(monkeypatch, hire, "hire_branch", calls)
+    got = hire_block(x, block)
+    tiles = 8 if mode == "running" else 1
+    assert (calls.count("height"), calls.count("width"), calls.count("channel_mlp")) == (1, tiles, tiles)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_products_too_thin_to_keep_their_kernel_are_not_tiled(rng):
+    # micro's stage-1 products (8x8 to 16x8 weights) do under 1e6
+    # multiply-adds in a tile of 1,024 rows, so its blocks run whole
+    block = micro_model().stages[0].blocks[0]
+    fc = [block.channel_mlp.fc1, block.channel_mlp.fc2]
+    assert row_tiles(200 * 304, fc) == [slice(0, 200 * 304)]
+    assert row_tiles(200 * 304, [block.hire.channel]) == [slice(0, 200 * 304)]
+    tiny = build_model(tiny_config(), seed=0).stages[0].blocks[0]
+    assert len(row_tiles(200 * 304, [tiny.channel_mlp.fc1, tiny.channel_mlp.fc2])) == 60
+    assert row_tiles(200 * 304, [tiny.channel_mlp.fc1], set_norm_mode(tiny, "batch").norm2) == [slice(0, 200 * 304)]
+
+
+def test_a_tiled_block_holds_one_tile_of_the_hidden_map(rng):
+    # a stage-1 tiny block at 800x1216 input: 200x304 tokens, whose whole
+    # 4C-wide hidden map alone is 62 MB
+    block = build_model(tiny_config(), seed=0).stages[0].blocks[1]
+    x = rng.standard_normal((1, 200, 304, 64)).astype(np.float32)
+    peaks, outs = [], []
+    for fn in (hire_block, sequential_block):
+        tracemalloc.start()
+        try:
+            outs.append(fn(x, block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.75 * peaks[1], [f"{p / 2**20:.1f} MiB" for p in peaks]
+    assert outs[0].tobytes() == outs[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

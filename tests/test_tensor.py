@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -120,6 +121,23 @@ def test_linear_splits_into_the_fewest_equal_blocks(rng, monkeypatch, rows, bloc
     monkeypatch.setattr(np, "matmul", spy)
     T.linear(rng.standard_normal((rows, 64)), rng.standard_normal((64, 48)))
     assert seen == blocks
+
+
+@pytest.mark.parametrize(
+    "m, count, lengths",
+    [(10, 4, [3, 3, 2, 2]), (3, 5, [1, 1, 1]), (7, 1, [7]), (_R, None, [_R]), (_R + 1, None, [_R // 2 + 1, _R // 2])],
+)
+def test_row_blocks_differ_in_length_by_at_most_one(m, count, lengths):
+    blocks = T.row_blocks(m, count)
+    assert [b.stop - b.start for b in blocks] == lengths
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+def test_a_product_keeps_its_kernel_past_a_million_multiply_adds_on_two_rows_or_more():
+    w = np.zeros((1000, 10))
+    assert T.keeps_kernel(101, w) and not T.keeps_kernel(100, w)
+    assert not T.keeps_kernel(1, np.zeros((2000, 1000)))  # one row runs gemv
 
 
 def test_linear_row_blocks_on_a_tape_equal_the_plain_product(rng):
@@ -914,6 +932,23 @@ def test_weight_lookup_rejects_a_non_finite_value_naming_path_tensor_and_index(t
         back["bad"]
     assert str(e.value) == f"{path}: tensor 'bad': non-finite value -inf at flat index 7"
     assert back["good"].tobytes() == good.tobytes()
+
+
+def test_weight_read_into_fills_the_callers_buffer_or_a_fresh_array(tmp_path, rng):
+    w = rng.standard_normal((3, 5)).astype(np.float32)
+    bad = np.array([1.0, np.nan], dtype=np.float32)
+    path = tmp_path / "w.hire"
+    save_tensors(path, {"w": w, "bad": bad})
+    back = load_tensors(path)
+    buf = np.full(20, -1.0, dtype=np.float32)
+    got = back.read_into("w", buf)
+    assert got.shape == (3, 5) and np.shares_memory(got, buf) and got.tobytes() == w.tobytes()
+    assert (buf[15:] == -1).all()  # only the leading elements are written
+    for unfit in (np.empty(14, np.float32), np.empty(15, np.float64), np.empty(30, np.float32)[::2], None):
+        got = back.read_into("w", unfit)
+        assert not np.shares_memory(got, buf) and got.flags.writeable and got.tobytes() == w.tobytes()
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: tensor 'bad': non-finite value nan at flat index 1")):
+        back.read_into("bad", buf)
 
 
 def test_weight_lookup_after_the_file_shrinks_names_path_and_offset(tmp_path):
