@@ -373,6 +373,17 @@ def _status_mb(field: str) -> float | None:
     return None
 
 
+def _forward_rss_mb(built: float | None, setup_peak: float | None, peak: float | None) -> float | None:
+    """The forwards' peak resident size above the size right after the
+    build: `peak`, the VmHWM after them, minus `built`. None where a field
+    could not be read, or where the peak did not grow during the forwards
+    (`setup_peak`, the VmHWM before them, is as high), so that it belongs
+    to the imports or the build rather than to the forwards."""
+    if None in (built, setup_peak, peak) or peak <= setup_peak:
+        return None
+    return peak - built
+
+
 def cmd_bench(args) -> int:
     from .lanes import blas_threads  # the lane machinery loads only where it is used
 
@@ -384,6 +395,7 @@ def cmd_bench(args) -> int:
     h, w = _parse_hwc(args.hw, 2)
     x = _random_input(args.seed, (args.batch, h, w, 3))
     lanes = lane_count(model, x)
+    setup_hwm_mb = _status_mb("VmHWM")
 
     times = []
     for _ in range(BENCH_WARMUP + args.iters):
@@ -407,7 +419,7 @@ def cmd_bench(args) -> int:
         "lanes": lanes,
         "blas_threads": blas_threads(),
         "peak_rss_mb": peak_rss_mb,
-        "forward_rss_mb": None if None in (built_rss_mb, hwm_mb) else hwm_mb - built_rss_mb,
+        "forward_rss_mb": _forward_rss_mb(built_rss_mb, setup_hwm_mb, hwm_mb),
         "build_s": build_s,
     }
     if args.json:

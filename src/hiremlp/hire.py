@@ -214,12 +214,12 @@ def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
         return out
     region = p.width.region
     _branch_gathers(w, region, p.width.shift)  # the width branch rejects an input first, as above
-    out = hire_branch(x, p.height)
-    rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c, copy=False)
+    out = hire_branch(x, p.height)  # fresh and C-contiguous, so its reshapes below are views
+    rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c)
     regions = padded_extent(w, region.region_size) // region.region_size  # product rows per row of the map
     for t in row_tiles(n * h, p.width.mlp.layers, p.width.mlp.norm, k, regions):
         out_rows[:, t] += hire_branch(rows[:, t], p.width)
-    tokens, out_tokens = x.reshape(-1, c), out.reshape(-1, c, copy=False)
+    tokens, out_tokens = x.reshape(-1, c), out.reshape(-1, c)
     for t in row_tiles(n * h * w, [p.channel]):
         out_tokens[t] += T.apply_linear(tokens[t], p.channel)
     return out

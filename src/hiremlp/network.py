@@ -38,7 +38,7 @@ from .hire import (
     row_tiles,
 )
 from .rearrange import MANNERS, PADDING_MODES, RegionSpec, ShiftSpec, pad_axis, pad_index
-from .weights import TensorFile
+from .weights import load_checked
 
 MIN_INPUT = 32
 
@@ -301,7 +301,10 @@ def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
         return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
     y = hire_module(T.apply_norm(x, p.norm1), p.hire)
     y += x
-    tokens = y.reshape(-1, y.shape[-1], copy=False)
+    tokens = y.reshape(-1, y.shape[-1])  # a view: the module's map is fresh and C-contiguous
+    if len(tokens) <= T._LINEAR_ROWS:  # one tile, as in the module
+        y += channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp)
+        return y
     for t in row_tiles(len(tokens), [p.channel_mlp.fc1, p.channel_mlp.fc2], p.norm2):
         tokens[t] += channel_mlp(T.apply_norm(tokens[t], p.norm2), p.channel_mlp)
     return y
@@ -624,16 +627,12 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
 def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
     """Fill a built model's arrays in place from a name -> array mapping.
 
-    Every name is checked, then every tensor looked up once, its shape
-    compared and dropped, before the first copy, so a mismatch, a negative
-    running variance or a value the mapping rejects on lookup (a
-    `TensorFile`'s non-finite check) leaves the model as it was. Of several
-    faults, the one reported is that of the first failing tensor in model
-    order. A TensorFile is read twice with `read_into`: for the checks into
-    one buffer, sized to the model's largest array and reused, and then
-    straight into each float32 array of the model. A file that changes
-    between the two reads is not covered: the second read can then fail or
-    put unchecked values into part of the model.
+    Every name is checked, then `weights.load_checked` copies the tensors
+    in, after every one has been looked up in model order and its shape and,
+    for a running variance, its sign checked: a mismatch, a negative running
+    variance or a value the mapping rejects on lookup (a `TensorFile`'s
+    non-finite check) leaves the model as it was. Of several faults, the
+    one reported is that of the first failing tensor in model order.
     """
     own = model_tensors(model)
     missing = sorted(set(own) - set(tensors))
@@ -643,23 +642,15 @@ def load_model_weights(model: Model, tensors: Mapping[str, np.ndarray]) -> None:
             f"weight mismatch: missing {missing[:3]}{'...' if len(missing) > 3 else ''}, "
             f"unexpected {extra[:3]}{'...' if len(extra) > 3 else ''}"
         )
-    file = tensors if isinstance(tensors, TensorFile) else None
-    buf = None if file is None else np.empty(max((a.size for a in own.values()), default=0), dtype="<f4")
-    for name, arr in own.items():
-        value = np.asarray(tensors[name]) if file is None else file.read_into(name, buf)
-        if value.shape != arr.shape:
-            raise ShapeError(f"weight '{name}': file {value.shape} vs model {arr.shape}")
+
+    def check(name: str, value: np.ndarray) -> None:
         if name.endswith(".running_var") and (value < 0).any():
             i = int(np.argmax(value.reshape(-1) < 0))
             raise InvalidInputError(
                 f"weight '{name}': running variance {value.flat[i]} at flat index {i} is negative"
             )
-        del value  # the next lookup reads before it would rebind `value`
-    del buf
-    for name, arr in own.items():
-        value = tensors[name] if file is None else file.read_into(name, arr)
-        if not np.may_share_memory(value, arr):  # not read in place: a dict's array, or arr is not float32
-            arr[...] = value
+
+    load_checked(tensors, own, check)
 
 
 def model_checksum(model: Model) -> str:

@@ -14,12 +14,12 @@ import math
 import os
 import struct
 import weakref
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ShapeError
 
 MAGIC = b"HIRE"
 VERSION = 1
@@ -63,7 +63,7 @@ class TensorFile(Mapping):
 
     Each lookup reads that one tensor into a fresh, aligned, read-only
     array, so holding the mapping costs no payload memory; `read_into`
-    reads one into the caller's array instead. Both reject a non-finite
+    reads one into the caller's buffer instead. Both reject a non-finite
     value with InvalidInputError naming the path, the tensor and the first
     flat index. `len`, `in` and iteration read nothing.
     The file is closed when the mapping is dropped.
@@ -74,23 +74,19 @@ class TensorFile(Mapping):
         weakref.finalize(self, fh.close)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        out = self.read_into(name)
+        out = self.read_into(name, np.empty(self._entries[name][1], dtype="<f4"))
         out.flags.writeable = False
         return out
 
-    def read_into(self, name: str, buf: np.ndarray | None = None) -> np.ndarray:
-        """Read tensor `name` by positional reads and check it for
-        non-finite values. It goes into the leading elements of buf when buf
-        is a writable C-contiguous little-endian float32 array with room for
-        it, else into a fresh aligned array. Returns the tensor in its shape,
-        as a view of buf or the fresh array."""
+    def read_into(self, name: str, buf: np.ndarray) -> np.ndarray:
+        """Read tensor `name` by positional reads into the leading elements
+        of buf, which `holds` it, and check it for non-finite values.
+        Returns it in its shape, as a view of buf."""
         off, dims = self._entries[name]
         n = math.prod(dims)
-        fits = (
-            buf is not None and buf.dtype == np.dtype("<f4") and buf.flags.c_contiguous
-            and buf.flags.writeable and buf.size >= n
-        )
-        out = buf.reshape(-1)[:n].reshape(dims) if fits else np.empty(dims, dtype="<f4")
+        if not holds(buf, n):
+            raise ValueError(f"read_into: {name!r} {dims} does not fit a {buf.dtype} buffer of shape {buf.shape}")
+        out = buf.reshape(-1)[:n].reshape(dims)
         if n:  # a memoryview cannot cast an empty shape
             view = memoryview(out).cast("B")
             done = 0
@@ -115,6 +111,42 @@ class TensorFile(Mapping):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def holds(buf: np.ndarray, n: int) -> bool:
+    """Whether buf is a writable C-contiguous little-endian float32 array
+    of at least n elements, which `TensorFile.read_into` can fill."""
+    return buf.dtype == np.dtype("<f4") and buf.flags.c_contiguous and buf.flags.writeable and buf.size >= n
+
+
+def load_checked(
+    tensors: Mapping[str, np.ndarray], arrays: Mapping[str, np.ndarray], check: Callable[[str, np.ndarray], None]
+) -> None:
+    """Copy tensors[name] into arrays[name] for every name of `arrays`.
+
+    First every value is looked up in that order, held alone, and must have
+    its array's shape (else ShapeError) and pass check(name, value), so a
+    failing lookup or check leaves every array as it was. A TensorFile is
+    read twice with `read_into`: for the checks into one buffer, sized to
+    the largest of these tensors and reused, and then straight into each
+    array that `holds` it (any other gets a lookup). A file that changes
+    between the two reads is not covered: the second read can then fail or
+    put unchecked values into part of the arrays."""
+    file = tensors if isinstance(tensors, TensorFile) else None
+    sizes = [] if file is None else [math.prod(file._entries[name][1]) for name in arrays]
+    buf = np.empty(max(sizes, default=0), dtype="<f4")
+    for name, arr in arrays.items():
+        value = np.asarray(tensors[name]) if file is None else file.read_into(name, buf)
+        if value.shape != arr.shape:
+            raise ShapeError(f"weight '{name}': file {value.shape} vs model {arr.shape}")
+        check(name, value)
+        del value  # the next lookup reads before it would rebind `value`
+    del buf
+    for name, arr in arrays.items():
+        if file is not None and holds(arr, arr.size):
+            file.read_into(name, arr)
+        else:
+            arr[...] = tensors[name]
 
 
 def _short(path, off: int, what: str, n: int, remain: int) -> InvalidInputError:

@@ -534,6 +534,12 @@ def test_bench_reports_forward_rss_apart_from_the_model():
     assert rss["320x320"] > rss["64x64"] + 4
 
 
+def test_forward_rss_is_null_unless_the_peak_grew_during_the_forwards():
+    assert cli._forward_rss_mb(100.0, 104.0, 110.0) == 10.0
+    assert cli._forward_rss_mb(100.0, 110.0, 110.0) is None  # a set-up transient set the peak
+    assert cli._forward_rss_mb(None, 104.0, 110.0) is None
+
+
 def test_bench_reports_null_forward_rss_where_proc_status_cannot_be_read(capsys, micro_cfg_path, monkeypatch):
     monkeypatch.setattr(cli, "_status_mb", lambda field: None)
     code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1", "--json")

@@ -58,7 +58,7 @@ from hiremlp.network import (
 )
 from hiremlp.rearrange import PADDING_MODES
 from hiremlp.variants import micro_config, small_config, tiny_config
-from hiremlp.weights import load_tensors, save_tensors
+from hiremlp.weights import TensorFile, load_tensors, save_tensors
 
 from oracles import (
     erf_gelu,
@@ -859,6 +859,20 @@ def test_non_finite_last_tensor_leaves_the_model_unchanged(tmp_path):
     with pytest.raises(InvalidInputError, match=re.escape(f"tensor '{name}': non-finite value nan")):
         load_model_weights(model, load_tensors(tmp_path / "m.hire"))
     assert model_checksum(model) == before
+
+
+def test_weight_load_reads_a_file_into_one_buffer_then_into_the_model(tmp_path, monkeypatch):
+    save_tensors(tmp_path / "m.hire", model_tensors(micro_model(seed=11)))
+    model = micro_model()
+    own = list(model_tensors(model).values())
+    bufs = []
+    read = TensorFile.read_into
+    monkeypatch.setattr(TensorFile, "read_into", lambda self, name, buf: bufs.append(buf) or read(self, name, buf))
+    load_model_weights(model, load_tensors(tmp_path / "m.hire"))
+    assert len(bufs) == 2 * len(own)
+    assert all(b is bufs[0] for b in bufs[: len(own)])  # the checks reuse one buffer
+    assert all(b is a for b, a in zip(bufs[len(own) :], own))  # then each tensor goes straight in
+    assert model_checksum(model) == model_checksum(micro_model(seed=11))
 
 
 def test_weight_load_reports_the_first_failing_tensor_in_model_order(tmp_path):
