@@ -80,11 +80,12 @@ class TensorFile(Mapping):
 
     def read_into(self, name: str, buf: np.ndarray) -> np.ndarray:
         """Read tensor `name` by positional reads into the leading elements
-        of buf, which `holds` it, and check it for non-finite values.
-        Returns it in its shape, as a view of buf."""
+        of buf, a writable C-contiguous little-endian float32 array of at
+        least its size (else ValueError), and check it for non-finite
+        values. Returns it in its shape, as a view of buf."""
         off, dims = self._entries[name]
         n = math.prod(dims)
-        if not holds(buf, n):
+        if not _holds(buf, n):
             raise ValueError(f"read_into: {name!r} {dims} does not fit a {buf.dtype} buffer of shape {buf.shape}")
         out = buf.reshape(-1)[:n].reshape(dims)
         if n:  # a memoryview cannot cast an empty shape
@@ -113,7 +114,7 @@ class TensorFile(Mapping):
         return len(self._entries)
 
 
-def holds(buf: np.ndarray, n: int) -> bool:
+def _holds(buf: np.ndarray, n: int) -> bool:
     """Whether buf is a writable C-contiguous little-endian float32 array
     of at least n elements, which `TensorFile.read_into` can fill."""
     return buf.dtype == np.dtype("<f4") and buf.flags.c_contiguous and buf.flags.writeable and buf.size >= n
@@ -129,9 +130,10 @@ def load_checked(
     failing lookup or check leaves every array as it was. A TensorFile is
     read twice with `read_into`: for the checks into one buffer, sized to
     the largest of these tensors and reused, and then straight into each
-    array that `holds` it (any other gets a lookup). A file that changes
-    between the two reads is not covered: the second read can then fail or
-    put unchecked values into part of the arrays."""
+    array that is a writable C-contiguous float32 one (any other gets a
+    lookup). A file that changes between the two reads is not covered: the
+    second read can then fail or put unchecked values into part of the
+    arrays."""
     file = tensors if isinstance(tensors, TensorFile) else None
     sizes = [] if file is None else [math.prod(file._entries[name][1]) for name in arrays]
     buf = np.empty(max(sizes, default=0), dtype="<f4")
@@ -143,7 +145,7 @@ def load_checked(
         del value  # the next lookup reads before it would rebind `value`
     del buf
     for name, arr in arrays.items():
-        if file is not None and holds(arr, arr.size):
+        if file is not None and _holds(arr, arr.size):
             file.read_into(name, arr)
         else:
             arr[...] = tensors[name]
