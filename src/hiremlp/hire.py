@@ -164,9 +164,9 @@ class HireModuleParams:
 
 
 def eager_map(x: T.ArrayLike) -> bool:
-    """Whether x is a non-empty eager NHWC ndarray, whose sums the module
-    and the block write in place, in row tiles (a tape has no slice op)."""
-    return type(x) is np.ndarray and x.ndim == 4 and x.size > 0
+    """Whether x is an eager NHWC ndarray of more than 1,024 non-empty tokens
+    (`linear`'s row block), which the blocks sum into in row tiles."""
+    return type(x) is np.ndarray and x.ndim == 4 and x.size > x.shape[-1] * T._LINEAR_ROWS
 
 
 def per_token(norm: T.NormParams | None) -> bool:
@@ -193,35 +193,28 @@ def row_tiles(
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
     """Sum of the branch outputs: (width + height) + channel.
 
-    A taped input gets each sum as a fresh array. An `eager_map` of m tokens
-    gets one output map, whose sums go in place. At most 1,024 tokens, one
-    `linear` row block, it is the width branch's fresh result. A larger map
-    takes the height branch's fresh result, and the width branch is added
-    into it in k = ceil(m / 1024) row tiles along (N, H), whose rows it
-    mixes in no way, and the channel FC in the `row_tiles` of the m tokens.
-    So no whole-map width or channel result exists. Each element is still
-    (width + height) + channel, and one IEEE addition commutes, so the sums
-    are bitwise the fresh ones."""
-    if not eager_map(x):
-        spatial = T.add(hire_branch(x, p.width), hire_branch(x, p.height))
-        return T.add(spatial, T.apply_linear(x, p.channel))
-    n, h, w, c = x.shape
-    k = len(T.row_blocks(n * h * w))
-    if k == 1:
+    Each sum is a `+=` into the branch result it starts from, which it owns
+    (a fresh `add` on a Var). An `eager_map` with ndarray weights
+    (`T.bind_tree` binds all, so the channel weight stands for them) starts
+    from the height branch and adds the width branch in ceil(m / 1024) row
+    tiles along (N, H), rows it mixes in no way. Every other call, taped or
+    of at most 1,024 tokens, starts from the width branch. The channel FC
+    comes last, whole. One IEEE addition commutes, so the sums are bitwise
+    the fresh ones."""
+    if eager_map(x) and type(p.channel.weight) is np.ndarray:
+        n, h, w, c = x.shape
+        region = p.width.region
+        _branch_gathers(w, region, p.width.shift)  # the width branch rejects an input first, as below
+        out = hire_branch(x, p.height)  # fresh and C-contiguous, so its reshape below is a view
+        rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c)
+        regions = padded_extent(w, region.region_size) // region.region_size  # product rows per row of the map
+        k = len(T.row_blocks(n * h * w))
+        for t in row_tiles(n * h, p.width.mlp.layers, p.width.mlp.norm, k, regions):
+            out_rows[:, t] += hire_branch(rows[:, t], p.width)
+    else:
         out = hire_branch(x, p.width)
         out += hire_branch(x, p.height)
-        out += T.apply_linear(x, p.channel)
-        return out
-    region = p.width.region
-    _branch_gathers(w, region, p.width.shift)  # the width branch rejects an input first, as above
-    out = hire_branch(x, p.height)  # fresh and C-contiguous, so its reshapes below are views
-    rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c)
-    regions = padded_extent(w, region.region_size) // region.region_size  # product rows per row of the map
-    for t in row_tiles(n * h, p.width.mlp.layers, p.width.mlp.norm, k, regions):
-        out_rows[:, t] += hire_branch(rows[:, t], p.width)
-    tokens, out_tokens = x.reshape(-1, c), out.reshape(-1, c)
-    for t in row_tiles(n * h * w, [p.channel]):
-        out_tokens[t] += T.apply_linear(tokens[t], p.channel)
+    out += T.apply_linear(x, p.channel)
     return out
 
 

@@ -290,21 +290,17 @@ def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
 def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y.
 
-    A taped input gets every norm and sum as a fresh array. A
-    `hire.eager_map` gets one output map that the block owns, the module's
-    (see `hire_module`): X is added into it, and then each of the module's
-    token tiles becomes Z = ChannelMLP(BN(Y)) + Y in place, so one tile's
-    hidden map is alive at a time. The sums are bitwise the fresh ones. A
-    second norm that takes batch statistics makes that sub-unit one tile."""
-    if not eager_map(x):
-        y = T.add(hire_module(T.apply_norm(x, p.norm1), p.hire), x)
-        return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
+    Each sum is a `+=` into the module's output, which the block owns (a
+    fresh `add` on a Var). A Y that is a `hire.eager_map` becomes Z in the
+    token tiles of `row_tiles`, so one tile's hidden map is alive at a
+    time, bitwise the whole sum; a second norm that takes batch statistics
+    makes that one tile."""
     y = hire_module(T.apply_norm(x, p.norm1), p.hire)
     y += x
-    tokens = y.reshape(-1, y.shape[-1])  # a view: the module's map is fresh and C-contiguous
-    if len(tokens) <= T._LINEAR_ROWS:  # one tile, as in the module
+    if not eager_map(y):
         y += channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp)
         return y
+    tokens = y.reshape(-1, y.shape[-1])  # a view: the module's map is fresh and C-contiguous
     for t in row_tiles(len(tokens), [p.channel_mlp.fc1, p.channel_mlp.fc2], p.norm2):
         tokens[t] += channel_mlp(T.apply_norm(tokens[t], p.norm2), p.channel_mlp)
     return y

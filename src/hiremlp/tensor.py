@@ -7,9 +7,10 @@ memory with an input, though: `reshape` returns a view whenever numpy can
 give one, so a caller that wants to write into a result must own it. The
 one exception is `gelu(x, overwrite=True)` on a float32 ndarray, which
 writes its result into x; the model passes it only a fresh FC output that
-it reads no more. Outside the ops, the eager blocks sum into a map they own
-in row tiles (`hire.hire_module`, `network.hire_block`); those are the
-other in-place writes, each one lowering the forward's peak memory.
+it reads no more. Outside the ops, the blocks sum with `+=` into a map
+they own (`hire.hire_module`, `network.hire_block`), a fresh `add` on a
+Var; those are the other in-place writes, each one lowering the
+forward's peak memory.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
 `Tape`; every op returns through `_result`, which records the op when
 any input is a `Var` so `backward` can replay adjoints. One tape serves
@@ -90,6 +91,10 @@ class Var:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
+
+    def __iadd__(self, other: "ArrayLike") -> "ArrayLike":
+        """`v += w` rebinds v to `add(v, w)`, a fresh node, so one `+=` serves both kinds."""
+        return add(self, other)
 
     def __repr__(self) -> str:
         node = self.tape.nodes[self.idx]

@@ -518,6 +518,37 @@ def test_bench_reports_peak_rss(capsys, micro_cfg_path):
     assert re.search(r"peak RSS \d+\.\d MB$", out.strip())
 
 
+_HOLDING_PARENT = (
+    "import json, resource, subprocess, sys\n"
+    "held = bytearray(b'\\x01') * (256 << 20)  # every page written, so resident\n"
+    "out = subprocess.run(sys.argv[1:], check=True, capture_output=True, text=True).stdout\n"
+    "print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, json.loads(out)]))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_bench_peak_rss_is_its_own_when_launched_from_a_larger_process():
+    # ru_maxrss is carried across exec, so a bench launched from a process
+    # holding 256 MiB would report at least that much; micro at 64x64 alone
+    # peaks near 40 MB
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-c", _HOLDING_PARENT, sys.executable, "-m", "hiremlp", "bench",
+           "--config", str(CONFIGS / "micro.json"), "--hw", "64x64", "--iters", "1", "--json"]
+    parent_mb, payload = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+    assert parent_mb >= 256
+    assert isinstance(payload["peak_rss_mb"], float) and 0 < payload["peak_rss_mb"] < parent_mb / 2
+
+
+def test_bench_reports_null_peak_rss_where_proc_status_cannot_be_read(capsys, micro_cfg_path, monkeypatch):
+    monkeypatch.setattr(cli, "_status_mb", lambda field: None)
+    code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["peak_rss_mb"] is None
+    code, out, _ = run(capsys, "bench", "--config", micro_cfg_path, "--hw", "64x64", "--iters", "1")
+    assert code == 0
+    assert out.strip().endswith("peak RSS n/a")
+
+
 def test_bench_reports_forward_rss_apart_from_the_model():
     # each run in its own process, so the peak is that run's: the forwards
     # at 320x320 hold more activations than those at 64x64, with the same weights

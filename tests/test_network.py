@@ -264,6 +264,38 @@ def test_a_tiled_block_holds_one_tile_of_the_hidden_map(rng):
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
+def _bound_call(fn, x, block, taped_input):
+    """The output value of fn on x and `block` bound to a fresh tape, and
+    the bytes of d sum(output) / d weight for every weight, in tree order."""
+    tape = T.Tape()
+    p = T.bind_tree(block, tape)
+    weights = [T.Var(tape, i) for i in range(len(tape.nodes))]  # one leaf per array
+    out = fn(tape.leaf(x) if taped_input else x, p)
+    assert type(out) is T.Var
+    grads = T.backward(tape, T.sum_all(out))
+    return out.value, [grads.wrt(v).tobytes() for v in weights]
+
+
+@pytest.mark.parametrize("unit", ["hire_module", "hire_block"])
+@pytest.mark.parametrize(
+    "config, shape",
+    # micro's 19x25 stage-1 map is one tile; tiny's 2x50x75 is 7,500 tokens,
+    # a tiled size for an eager map with ndarray weights
+    [(micro_config, (1, 19, 25)), (tiny_config, (2, 50, 75))],
+    ids=["micro-one-tile", "tiny-tiled-size"],
+)
+def test_an_eager_map_through_bound_weights_equals_the_all_taped_call(rng, unit, config, shape):
+    # a gradient with respect to the weights only: the map stays an ndarray;
+    # batch-statistics norms, as running-mode norms have no adjoint
+    block = set_norm_mode(build_model(config(), seed=0), "batch").stages[0].blocks[-1]
+    x = rng.standard_normal(shape + (block.norm1.channels,)).astype(np.float32)
+    fn = hire_block if unit == "hire_block" else lambda v, p: hire.hire_module(v, p.hire)
+    got, got_grads = _bound_call(fn, x, block, taped_input=False)
+    want, want_grads = _bound_call(fn, x, block, taped_input=True)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert len(got_grads) == len(want_grads) > 0 and got_grads == want_grads
+
+
 # ---------------------------------------------------------------------------
 # patch embed
 # ---------------------------------------------------------------------------

@@ -808,6 +808,29 @@ def test_var_admits_no_subclass():
         type("SubVar", (T.Var,), {})
 
 
+@pytest.mark.parametrize("taped_other", [False, True])
+def test_var_iadd_records_one_fresh_add_that_backpropagates_as_add(rng, taped_other):
+    a0, b0, w0 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    before = (a0.tobytes(), b0.tobytes())
+    grads = []
+    for use_iadd in (True, False):
+        tape = T.Tape()
+        a = tape.leaf(a0)
+        b = tape.leaf(b0) if taped_other else b0
+        v = a
+        if use_iadd:
+            v += b
+        else:
+            v = T.add(a, b)
+        assert type(v) is T.Var and v is not a and v.idx == len(tape.nodes) - 1
+        assert [(n.op, n.parents) for n in tape.nodes if n.op != "leaf"] == [("add", (0, 1 if taped_other else None))]
+        assert v.value.tobytes() == (a0 + b0).tobytes()
+        assert tape.nodes[a.idx].value is a0 and (a0.tobytes(), b0.tobytes()) == before
+        g = T.backward(tape, T.sum_all(T.linear(v, w0)))
+        grads.append([g.wrt(a).tobytes()] + ([g.wrt(b).tobytes()] if taped_other else []))
+    assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
