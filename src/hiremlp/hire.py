@@ -191,29 +191,25 @@ def row_tiles(
 
 
 def hire_module(x: T.ArrayLike, p: HireModuleParams) -> T.ArrayLike:
-    """Sum of the branch outputs: (width + height) + channel.
+    """Sum of the branch outputs, (height + width) + channel, on every call.
 
-    Each sum is a `+=` into the branch result it starts from, which it owns
-    (a fresh `add` on a Var). An `eager_map` with ndarray weights
-    (`T.bind_tree` binds all, so the channel weight stands for them) starts
-    from the height branch and adds the width branch in ceil(m / 1024) row
-    tiles along (N, H), rows it mixes in no way. Every other call, taped or
-    of at most 1,024 tokens, starts from the width branch. The channel FC
-    comes last, whole. One IEEE addition commutes, so the sums are bitwise
-    the fresh ones."""
-    if eager_map(x) and type(p.channel.weight) is np.ndarray:
+    Each sum is a `+=` into the height branch's fresh result: in place on
+    an ndarray, a fresh `add` once either side is a Var, so weights bound in
+    part compose. The width branch goes in ceil(m / 1024) row tiles along
+    (N, H), rows it mixes in no way, when x is an `eager_map` and the height
+    result and width weights are ndarrays; else whole, like the channel FC.
+    IEEE addition commutes, so every sum is bitwise the fresh one."""
+    out = hire_branch(x, p.height)
+    if eager_map(x) and type(out) is np.ndarray and not T.holds_var(p.width):
         n, h, w, c = x.shape
         region = p.width.region
-        _branch_gathers(w, region, p.width.shift)  # the width branch rejects an input first, as below
-        out = hire_branch(x, p.height)  # fresh and C-contiguous, so its reshape below is a view
-        rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c)
+        rows, out_rows = x.reshape(1, n * h, w, c), out.reshape(1, n * h, w, c)  # out is fresh and C-contiguous: a view
         regions = padded_extent(w, region.region_size) // region.region_size  # product rows per row of the map
         k = len(T.row_blocks(n * h * w))
         for t in row_tiles(n * h, p.width.mlp.layers, p.width.mlp.norm, k, regions):
             out_rows[:, t] += hire_branch(rows[:, t], p.width)
     else:
-        out = hire_branch(x, p.width)
-        out += hire_branch(x, p.height)
+        out += hire_branch(x, p.width)
     out += T.apply_linear(x, p.channel)
     return out
 

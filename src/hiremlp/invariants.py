@@ -596,10 +596,10 @@ def check_composed_gathers(seeds: int, rng) -> tuple[bool, str]:
 
 def sequential_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     """hire_block as the plain composition, every norm and sum a fresh
-    array, summed (width + height) + channel, + X, then ChannelMLP + Y: the
+    array, summed (height + width) + channel, + X, then ChannelMLP + Y: the
     reference for its row tiles."""
     h = T.apply_norm(x, p.norm1)
-    spatial = T.add(hire_branch(h, p.hire.width), hire_branch(h, p.hire.height))
+    spatial = T.add(hire_branch(h, p.hire.height), hire_branch(h, p.hire.width))
     y = T.add(T.add(spatial, T.apply_linear(h, p.hire.channel)), x)
     return T.add(channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp), y)
 

@@ -290,14 +290,15 @@ def channel_mlp(x: T.ArrayLike, p: ChannelMlpParams) -> T.ArrayLike:
 def hire_block(x: T.ArrayLike, p: BlockParams) -> T.ArrayLike:
     """Two residual sub-units: Y = Hire(BN(X)) + X, Z = ChannelMLP(BN(Y)) + Y.
 
-    Each sum is a `+=` into the module's output, which the block owns (a
-    fresh `add` on a Var). A Y that is a `hire.eager_map` becomes Z in the
-    token tiles of `row_tiles`, so one tile's hidden map is alive at a
-    time, bitwise the whole sum; a second norm that takes batch statistics
-    makes that one tile."""
+    Each sum is a `+=` into the module's output, which the block owns (in
+    place, or a fresh `add` once either side is a Var). A `hire.eager_map`
+    Y whose second norm and channel MLP hold no Var becomes Z in the token
+    tiles of `row_tiles`, so one tile's hidden map is alive at a time,
+    bitwise the whole sum; a norm that takes batch statistics makes that
+    one tile. Any other Y takes the channel MLP whole."""
     y = hire_module(T.apply_norm(x, p.norm1), p.hire)
     y += x
-    if not eager_map(y):
+    if not eager_map(y) or T.holds_var(p.norm2) or T.holds_var(p.channel_mlp):
         y += channel_mlp(T.apply_norm(y, p.norm2), p.channel_mlp)
         return y
     tokens = y.reshape(-1, y.shape[-1])  # a view: the module's map is fresh and C-contiguous

@@ -8,9 +8,9 @@ give one, so a caller that wants to write into a result must own it. The
 one exception is `gelu(x, overwrite=True)` on a float32 ndarray, which
 writes its result into x; the model passes it only a fresh FC output that
 it reads no more. Outside the ops, the blocks sum with `+=` into a map
-they own (`hire.hire_module`, `network.hire_block`), a fresh `add` on a
-Var; those are the other in-place writes, each one lowering the
-forward's peak memory.
+they own (`hire.hire_module`, `network.hire_block`), a fresh `add` when
+either side is a Var; those are the other in-place writes, each one
+lowering the forward's peak memory.
 Ops accept either numpy arrays (eager) or `Var` handles bound to a
 `Tape`; every op returns through `_result`, which records the op when
 any input is a `Var` so `backward` can replay adjoints. One tape serves
@@ -73,7 +73,9 @@ BN_EPS = 1e-5
 class Var:
     """Handle to one node of a tape-recorded computation.
 
-    Ops recognise a Var by its exact type, so Var admits no subclass."""
+    Ops recognise a Var by its exact type, so Var admits no subclass. A
+    `+=` with a Var on either side records one fresh `add` and writes into
+    neither operand, so operands bound in part compose as bound ones do."""
 
     __slots__ = ("tape", "idx")
 
@@ -93,8 +95,13 @@ class Var:
         return self.value.shape
 
     def __iadd__(self, other: "ArrayLike") -> "ArrayLike":
-        """`v += w` rebinds v to `add(v, w)`, a fresh node, so one `+=` serves both kinds."""
         return add(self, other)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        # numpy's hook: `a += v` on an ndarray a is add(a, v); every other ufunc of a Var raises TypeError
+        if ufunc is np.add and method == "__call__" and not kwargs and out is not None and out[0] is inputs[0]:
+            return add(*inputs)
+        return NotImplemented
 
     def __repr__(self) -> str:
         node = self.tape.nodes[self.idx]
@@ -792,6 +799,16 @@ def iter_arrays(obj) -> list[tuple[str, Array]]:
 
     map_tree(obj, visit)
     return found
+
+
+def holds_var(obj) -> bool:
+    """Whether any array of a parameter tree is a Var (see `bind_tree`)."""
+    if type(obj) is Var:
+        return True
+    if isinstance(obj, (list, tuple)):
+        return any(holds_var(v) for v in obj)
+    names = _field_names(type(obj))
+    return names is not None and any(holds_var(getattr(obj, name)) for name in names)
 
 
 def cast_tree(obj, dtype):

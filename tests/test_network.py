@@ -54,6 +54,7 @@ from hiremlp.network import (
     patch_embed,
     save_config,
     set_norm_mode,
+    stage_forward,
     trunc_normal,
 )
 from hiremlp.rearrange import PADDING_MODES
@@ -195,9 +196,9 @@ def test_row_tiled_blocks_bitwise_equal_the_plain_composition(rng):
     assert passed, detail
 
 
-def test_tiled_block_rejects_first_along_the_width_like_the_plain_composition(rng):
+def test_tiled_block_rejects_first_along_the_height_like_the_plain_composition(rng):
     # at 204x300 both stage-1 extents (51, 75) reject the shuffle manner's
-    # 2-token regions; the plain sum runs the width branch first
+    # 2-token regions; every sum runs the height branch first
     model = build_model(_every_stage(micro_config(), manner="shuffle"), seed=1)
     x = patch_embed(rng.standard_normal((1, 204, 300, 3)).astype(np.float32), model.stages[0].embed)
     messages = []
@@ -205,7 +206,25 @@ def test_tiled_block_rejects_first_along_the_width_like_the_plain_composition(rn
         with pytest.raises(InvalidInputError) as e:
             fn(x, model.stages[0].blocks[0])
         messages.append(str(e.value))
-    assert messages[0] == messages[1] and "extent 75 " in messages[0]
+    assert messages[0] == messages[1] and "extent 51 " in messages[0]
+
+
+def test_a_map_both_branches_reject_raises_one_message_from_module_block_and_plain_composition(rng):
+    # at 32x32 micro's stage-4 map is one token, which reflect padding cannot
+    # pad to a 2-token region along either axis
+    model = build_model(_every_stage(micro_config(), padding="reflect", h=2, w=2), seed=1)
+    x = rng.standard_normal((1, 32, 32, 3)).astype(np.float32)
+    for stage in model.stages[:3]:
+        x = stage_forward(x, stage)
+    x = patch_embed(x, model.stages[3].embed)
+    block = model.stages[3].blocks[0]
+    assert x.shape[1:3] == (1, 1)
+    messages = []
+    for fn in (lambda v, p: hire.hire_module(v, p.hire), hire_block, sequential_block):
+        with pytest.raises(InvalidInputError) as e:
+            fn(x, block)
+        messages.append(str(e.value))
+    assert messages == [messages[0]] * 3 and "extent 1" in messages[0]
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -294,6 +313,43 @@ def test_an_eager_map_through_bound_weights_equals_the_all_taped_call(rng, unit,
     want, want_grads = _bound_call(fn, x, block, taped_input=True)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert len(got_grads) == len(want_grads) > 0 and got_grads == want_grads
+
+
+def _bind_part(block, part, tape):
+    """`block` with only `part` (a Hire branch or `channel_mlp`) bound to `tape`."""
+    if part == "channel_mlp":
+        return dataclasses.replace(block, channel_mlp=T.bind_tree(block.channel_mlp, tape))
+    branch = T.bind_tree(getattr(block.hire, part), tape)
+    return dataclasses.replace(block, hire=dataclasses.replace(block.hire, **{part: branch}))
+
+
+@pytest.mark.parametrize(
+    "unit, part",
+    [("hire_module", "height"), ("hire_module", "width"), ("hire_block", "height"), ("hire_block", "width"),
+     ("hire_block", "channel_mlp")],
+)
+@pytest.mark.parametrize(
+    "config, shape", [(micro_config, (1, 19, 25)), (tiny_config, (2, 50, 75))], ids=["micro-one-tile", "tiny-tiled-size"]
+)
+def test_weights_bound_in_part_give_the_eager_value_and_the_taped_gradients(rng, unit, part, config, shape):
+    # the eager call sums tiny's 7,500 tokens in row tiles, a call on a
+    # bound branch whole; batch-statistics norms, as in the test above
+    block = set_norm_mode(build_model(config(), seed=0), "batch").stages[0].blocks[-1]
+    x = rng.standard_normal(shape + (block.norm1.channels,)).astype(np.float32)
+    fn = hire_block if unit == "hire_block" else lambda v, p: hire.hire_module(v, p.hire)
+    want = fn(x, block)
+    tape = T.Tape()
+    p = _bind_part(block, part, tape)
+    weights = [T.Var(tape, i) for i in range(len(tape.nodes))]  # one leaf per array of the part
+    out = fn(x, p)
+    assert type(out) is T.Var
+    assert (out.value.dtype, out.shape, out.value.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    grads = T.backward(tape, T.sum_all(out))
+    _, taped_grads = _bound_call(fn, x, block, taped_input=True)
+    prefix = part + "." if part == "channel_mlp" else f"hire.{part}."
+    want_grads = [g for (path, _), g in zip(T.iter_arrays(block), taped_grads) if path.startswith(prefix)]
+    assert len(weights) == len(want_grads) > 0
+    assert [grads.wrt(v).tobytes() for v in weights] == want_grads
 
 
 # ---------------------------------------------------------------------------

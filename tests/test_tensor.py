@@ -829,6 +829,27 @@ def test_var_iadd_records_one_fresh_add_that_backpropagates_as_add(rng, taped_ot
         g = T.backward(tape, T.sum_all(T.linear(v, w0)))
         grads.append([g.wrt(a).tobytes()] + ([g.wrt(b).tobytes()] if taped_other else []))
     assert grads[0] == grads[1]
+    # an ndarray left operand: numpy hands `u += v` to the Var, which records
+    # add(u, v) and writes into neither; u then names the fresh node
+    grads = []
+    for use_iadd in (True, False):
+        tape = T.Tape()
+        v = tape.leaf(b0)
+        u = a0.copy()
+        owner = u
+        if use_iadd:
+            u += v
+        else:
+            u = T.add(u, v)
+        assert type(u) is T.Var and [(n.op, n.parents) for n in tape.nodes if n.op != "leaf"] == [("add", (None, 0))]
+        assert u.value.tobytes() == (a0 + b0).tobytes()
+        assert (owner.tobytes(), b0.tobytes()) == before and tape.nodes[v.idx].value is b0
+        grads.append(T.backward(tape, T.sum_all(T.linear(u, w0))).wrt(v).tobytes())
+    assert grads[0] == grads[1]
+    # numpy hands a Var no other ufunc, in place or not
+    for other_ufunc in (lambda a: a + v, lambda a: np.multiply(a, v, out=a)):
+        with pytest.raises(TypeError):
+            other_ufunc(a0.copy())
 
 
 # ---------------------------------------------------------------------------
